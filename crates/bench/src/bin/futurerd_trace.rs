@@ -1050,9 +1050,10 @@ fn print_profile(threads: usize, wall: Duration, snapshot: &futurerd_obs::Snapsh
         );
     }
     // "validate", "freeze", "detect" and "merge" are the disjoint top-level
-    // coordinator stages — nested spans (freeze.assist.*, detect.partition)
-    // overlap them and are detail, not additional time. Their sum is the
-    // pipeline's critical-path accounting and should approach wall clock.
+    // coordinator stages — nested spans (freeze.assist.*, detect.ranges,
+    // detect.partition) overlap them and are detail, not additional time.
+    // Their sum is the pipeline's critical-path accounting and should
+    // approach wall clock.
     let accounted = snapshot.total_ns_of(&["validate", "freeze", "detect", "merge"]);
     let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
     let pct = if wall_ns == 0 {

@@ -15,9 +15,11 @@
 //!    with no interior mutability, so it is shared by every worker. The same
 //!    replay extracts the granule-level access stream.
 //! 2. **Pass 2 — shard** ([`ShadowPartition`]): split the granule space into
-//!    at most `P` contiguous ranges balanced by access count, bucket the
-//!    access stream by range, and run each bucket through a private
-//!    shadow-memory partition, querying the shared frozen index.
+//!    at most `P` contiguous ranges balanced by access count (one counting
+//!    pass, [`partition_ranges`]), and let each worker scan the shared
+//!    access stream in place, feeding the accesses of its range through a
+//!    private shadow-memory partition that queries the shared frozen index
+//!    ([`run_partition`]).
 //! 3. **Merge** : the per-partition witnesses carry the trace position of
 //!    the access that exposed them; sorting by position rebuilds exactly the
 //!    sequential report — [`par_replay_detect`] returns a [`RaceReport`]
@@ -167,57 +169,35 @@ pub fn detect_frozen(
     threads: usize,
     executor: &impl DetectExecutor,
 ) -> RaceReport {
-    shard::merge_reports(detect_partitions(index, accesses, threads, executor))
+    merge_outcomes(detect_frozen_outcomes(index, accesses, threads, executor))
 }
 
 /// As [`detect_frozen`], but returns the per-partition outcomes instead of
 /// the merged report — the form a store persists so that incremental
 /// re-detection can reuse outcomes for untouched granule ranges. Merge with
 /// [`merge_outcomes`].
+///
+/// One outcome per [`partition_ranges`] range, each equal to
+/// [`run_partition`] on that range: every task reads the shared stream in
+/// place, so the stream is never copied.
 pub fn detect_frozen_outcomes(
     index: &ReachIndex,
     accesses: &[GranuleAccess],
     threads: usize,
     executor: &impl DetectExecutor,
 ) -> Vec<PartitionOutcome> {
-    detect_partitions(index, accesses, threads, executor)
-        .into_iter()
-        .map(ShadowPartition::into_outcome)
-        .collect()
-}
-
-fn detect_partitions(
-    index: &ReachIndex,
-    accesses: &[GranuleAccess],
-    threads: usize,
-    executor: &impl DetectExecutor,
-) -> Vec<ShadowPartition> {
     let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
-    let ranges = shard::partition_ranges(accesses, threads.max(1));
-    let mut partitions: Vec<ShadowPartition> = ranges
-        .iter()
-        .map(|r| ShadowPartition::new(r.clone()))
-        .collect();
-    if let [partition] = partitions.as_mut_slice() {
-        // One range covers every access: run it on the stream directly
-        // instead of copying the whole stream into a bucket.
+    let ranges = {
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_RANGES);
+        partition_ranges(accesses, threads.max(1))
+    };
+    if let [range] = ranges.as_slice() {
+        // One range covers every access: run it inline, without the
+        // per-access ownership test.
         let _task = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
-        partition.run(index, accesses);
-        return partitions;
+        return vec![shard::detect_range(index, range.clone(), accesses)];
     }
-    let buckets = shard::bucket_accesses(accesses, &ranges);
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = partitions
-        .iter_mut()
-        .zip(buckets)
-        .map(|(partition, bucket)| {
-            Box::new(move || {
-                let _task = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
-                partition.run(index, &bucket)
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    executor.run_batch(tasks);
-    partitions
+    shard::run_partitions(index, &ranges, accesses, executor)
 }
 
 #[cfg(test)]

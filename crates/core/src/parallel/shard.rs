@@ -18,7 +18,8 @@ use crate::races::{AccessKind, Race, RaceReport};
 use crate::shadow::AccessHistory;
 use crate::stats::DetectorStats;
 use futurerd_dag::MemAddr;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// A worker's private slice of the detection state: a contiguous granule
@@ -169,14 +170,6 @@ impl ShadowPartition {
         }
     }
 
-    /// Runs this partition's whole slice of the access stream.
-    pub(crate) fn run(&mut self, index: &ReachIndex, accesses: &[GranuleAccess]) {
-        let mut cursor = index.cursor();
-        for acc in accesses {
-            self.apply(index, &mut cursor, acc);
-        }
-    }
-
     /// Access-history counters accumulated so far (the partition's share of
     /// the sequential detector's [`DetectorStats`]).
     pub fn stats(&self) -> DetectorStats {
@@ -222,17 +215,60 @@ pub struct PartitionOutcome {
 /// Runs detection over one granule range of the access stream against a
 /// frozen index, sequentially, and returns the partition's outcome.
 /// `accesses` is the **full** stream; accesses outside `range` are skipped.
+///
+/// This is the one pass-2 kernel: every engine task — cold or incremental,
+/// at any thread count — reads the shared stream in place through it.
 pub fn run_partition(
     index: &ReachIndex,
     range: Range<u64>,
     accesses: &[GranuleAccess],
 ) -> PartitionOutcome {
+    let owned = range.clone();
+    detect_range(
+        index,
+        range,
+        accesses.iter().filter(|acc| owned.contains(&acc.granule)),
+    )
+}
+
+/// Runs [`run_partition`] for every range as one task each on `executor`
+/// and returns the outcomes in range order.
+pub(crate) fn run_partitions(
+    index: &ReachIndex,
+    ranges: &[Range<u64>],
+    accesses: &[GranuleAccess],
+    executor: &impl DetectExecutor,
+) -> Vec<PartitionOutcome> {
+    let mut slots: Vec<Option<PartitionOutcome>> = vec![None; ranges.len()];
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
+        .zip(ranges)
+        .map(|(slot, range)| {
+            Box::new(move || {
+                let _task = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
+                *slot = Some(run_partition(index, range.clone(), accesses));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    executor.run_batch(tasks);
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("partition task ran"))
+        .collect()
+}
+
+/// The body of [`run_partition`]: replays `accesses` (in trace order, all
+/// inside `range`) through a fresh partition. A caller whose range covers
+/// the whole stream passes it unfiltered and skips the ownership test.
+pub(crate) fn detect_range<'a>(
+    index: &ReachIndex,
+    range: Range<u64>,
+    accesses: impl IntoIterator<Item = &'a GranuleAccess>,
+) -> PartitionOutcome {
     let mut partition = ShadowPartition::new(range);
     let mut cursor = index.cursor();
     for acc in accesses {
-        if partition.owns(acc.granule) {
-            partition.apply(index, &mut cursor, acc);
-        }
+        partition.apply(index, &mut cursor, acc);
     }
     partition.into_outcome()
 }
@@ -240,42 +276,48 @@ pub fn run_partition(
 /// Splits the granule space into at most `parts` contiguous ranges of
 /// roughly equal access counts (balanced sharding: partition boundaries
 /// follow the access histogram, not the raw address span).
+///
+/// A boundary closes after the first granule at which the accesses not yet
+/// assigned reach `ceil(len / parts)`; a granule is never split, so a hot
+/// granule can leave fewer than `parts` ranges. One pass finds the lowest
+/// and highest granule; for `parts > 1` a second, counting pass builds a
+/// per-granule histogram in lazily allocated 4096-granule pages, and a walk
+/// of the touched granules in ascending order picks the boundaries. The
+/// stream is neither sorted nor copied.
+///
+/// The histogram's memory follows the touched pages, never the granule
+/// span: pages are found through a directory of `span / 4096` slots when
+/// that is no longer than the stream, and through a hash map of touched
+/// pages otherwise. A stream too thin to fill its pages (touched pages
+/// would outweigh the stream itself) is counted with one counter per
+/// touched granule instead, so the histogram stays within a small multiple
+/// of the stream's own size on every input.
 pub fn partition_ranges(accesses: &[GranuleAccess], parts: usize) -> Vec<Range<u64>> {
     let parts = parts.max(1);
-    if accesses.is_empty() {
+    let Some((lo, max)) = granule_bounds(accesses) else {
         return Vec::new();
-    }
+    };
+    let hi = max + 1;
     if parts == 1 {
         // No split point needed: one range covering the touched space.
-        let lo = accesses.iter().map(|a| a.granule).min().expect("non-empty");
-        let hi = accesses.iter().map(|a| a.granule).max().expect("non-empty");
-        return std::iter::once(lo..hi + 1).collect();
+        return std::iter::once(lo..hi).collect();
     }
-    // Sort a granule array once instead of hash/tree counting: the split
-    // points are the granules at the access-count quantiles.
-    let mut granules: Vec<u64> = accesses.iter().map(|a| a.granule).collect();
-    granules.sort_unstable();
-    let lo = granules[0];
-    let hi = granules[granules.len() - 1] + 1;
-    let total = granules.len() as u64;
-    let target = total.div_ceil(parts as u64);
+    let histogram = GranuleHistogram::count(accesses, lo, max);
+    let target = (accesses.len() as u64).div_ceil(parts as u64);
     let mut ranges = Vec::with_capacity(parts);
     let mut start = lo;
+    let mut seen = 0u64; // accesses at granules up to the current one
     let mut taken = 0u64; // accesses already assigned to closed ranges
-    let mut i = 0usize;
-    while i < granules.len() && ranges.len() + 1 < parts {
-        // Walk one whole granule run (a boundary cannot split a granule).
-        let granule = granules[i];
-        let mut j = i;
-        while j < granules.len() && granules[j] == granule {
-            j += 1;
-        }
-        if (j as u64 - taken) >= target {
+    for (granule, count) in histogram.granules() {
+        seen += u64::from(count);
+        if seen - taken >= target {
             ranges.push(start..granule + 1);
             start = granule + 1;
-            taken = j as u64;
+            taken = seen;
+            if ranges.len() + 1 == parts {
+                break;
+            }
         }
-        i = j;
     }
     if start < hi {
         ranges.push(start..hi);
@@ -286,9 +328,152 @@ pub fn partition_ranges(accesses: &[GranuleAccess], parts: usize) -> Vec<Range<u
     ranges
 }
 
+/// The lowest and highest granule of the stream, if it is non-empty.
+fn granule_bounds(accesses: &[GranuleAccess]) -> Option<(u64, u64)> {
+    let first = accesses.first()?.granule;
+    // Two independent lanes per bound: one dependent min/max chain is
+    // bound by its compare latency rather than by the stream's bandwidth.
+    let (mut lo, mut hi) = ([first; 2], [first; 2]);
+    let mut pairs = accesses.chunks_exact(2);
+    for pair in &mut pairs {
+        lo[0] = lo[0].min(pair[0].granule);
+        hi[0] = hi[0].max(pair[0].granule);
+        lo[1] = lo[1].min(pair[1].granule);
+        hi[1] = hi[1].max(pair[1].granule);
+    }
+    for acc in pairs.remainder() {
+        lo[0] = lo[0].min(acc.granule);
+        hi[0] = hi[0].max(acc.granule);
+    }
+    Some((lo[0].min(lo[1]), hi[0].max(hi[1])))
+}
+
+/// log2 of the granules per histogram page (the shadow memory's page size).
+const HIST_PAGE_BITS: u32 = 12;
+/// Pages the histogram may always allocate, however short the stream.
+const HIST_MIN_PAGES: usize = 16;
+
+/// Per-granule access counts of one stream, stored in lazily allocated
+/// pages of `1 << page_bits` granules numbered from the stream's lowest
+/// granule. A count cannot overflow for a stream a freezer produced: one
+/// event touches a granule at most once, and traces are capped below
+/// `u32::MAX` events.
+struct GranuleHistogram {
+    lo: u64,
+    page_bits: u32,
+    pages: PageTable,
+}
+
+/// Where [`GranuleHistogram`] finds its pages.
+enum PageTable {
+    /// One slot per page of the span (used when the span has no more pages
+    /// than the stream has accesses).
+    Directory(Vec<Option<Box<[u32]>>>),
+    /// Only the touched pages, keyed by page number.
+    Sparse(HashMap<u64, Box<[u32]>>),
+}
+
+impl GranuleHistogram {
+    /// Counts every access of `accesses`, whose granules lie in `lo..=max`,
+    /// in 4096-granule pages. A stream spread so thin that its touched
+    /// pages would outweigh the stream itself is counted again with one
+    /// counter per touched granule instead, so memory stays within a small
+    /// multiple of the stream's on every input.
+    fn count(accesses: &[GranuleAccess], lo: u64, max: u64) -> Self {
+        let page_bytes = (1usize << HIST_PAGE_BITS) * std::mem::size_of::<u32>();
+        let max_pages = (std::mem::size_of_val(accesses) / page_bytes).max(HIST_MIN_PAGES);
+        Self::count_paged(accesses, lo, max, HIST_PAGE_BITS, max_pages)
+            // INVARIANT: a stream touches at most one single-granule page
+            // per access, so this budget is never exceeded.
+            .or_else(|| Self::count_paged(accesses, lo, max, 0, accesses.len()))
+            .expect("single-granule pages fit a budget of one page per access")
+    }
+
+    /// Counts `accesses` into pages of `1 << page_bits` granules, or gives
+    /// up (`None`) once more than `max_pages` pages are touched.
+    fn count_paged(
+        accesses: &[GranuleAccess],
+        lo: u64,
+        max: u64,
+        page_bits: u32,
+        max_pages: usize,
+    ) -> Option<Self> {
+        let slots = 1usize << page_bits;
+        let mut touched = 0usize;
+        let mut new_page = || {
+            touched += 1;
+            (touched <= max_pages).then(|| vec![0u32; slots].into_boxed_slice())
+        };
+        let span_pages = ((max - lo) >> page_bits) + 1;
+        let pages = if span_pages <= accesses.len() as u64 {
+            let mut directory: Vec<Option<Box<[u32]>>> = vec![None; span_pages as usize];
+            for acc in accesses {
+                let offset = acc.granule - lo;
+                let page = match &mut directory[(offset >> page_bits) as usize] {
+                    Some(page) => page,
+                    slot => slot.insert(new_page()?),
+                };
+                page[offset as usize & (slots - 1)] += 1;
+            }
+            PageTable::Directory(directory)
+        } else {
+            let mut sparse: HashMap<u64, Box<[u32]>> = HashMap::new();
+            for acc in accesses {
+                let offset = acc.granule - lo;
+                let page = match sparse.entry(offset >> page_bits) {
+                    Entry::Occupied(page) => page.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(new_page()?),
+                };
+                page[offset as usize & (slots - 1)] += 1;
+            }
+            PageTable::Sparse(sparse)
+        };
+        Some(Self {
+            lo,
+            page_bits,
+            pages,
+        })
+    }
+
+    /// The touched pages as `(page number, counts)`, in ascending order.
+    fn pages(&self) -> Vec<(u64, &[u32])> {
+        match &self.pages {
+            PageTable::Directory(directory) => directory
+                .iter()
+                .enumerate()
+                .filter_map(|(page, counts)| Some((page as u64, counts.as_deref()?)))
+                .collect(),
+            PageTable::Sparse(sparse) => {
+                let mut pages: Vec<(u64, &[u32])> = sparse
+                    .iter()
+                    .map(|(&page, counts)| (page, &**counts))
+                    .collect();
+                pages.sort_unstable_by_key(|&(page, _)| page);
+                pages
+            }
+        }
+    }
+
+    /// Every touched granule with its access count, in ascending order.
+    fn granules(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.pages().into_iter().flat_map(move |(page, counts)| {
+            let base = self.lo + (page << self.page_bits);
+            counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &count)| count > 0)
+                .map(move |(slot, &count)| (base + slot as u64, count))
+        })
+    }
+}
+
 /// Buckets the access stream by partition, preserving trace order within
 /// each bucket. Ranges must be sorted and disjoint (as produced by
 /// [`partition_ranges`]).
+///
+/// No engine path calls this any more: pass-2 workers read the shared
+/// stream in place through [`run_partition`]. It stays for callers that
+/// want the per-partition streams themselves.
 pub fn bucket_accesses(
     accesses: &[GranuleAccess],
     ranges: &[Range<u64>],
@@ -464,7 +649,10 @@ pub fn incremental_outcomes(
         && max_load * (ranges.len() as u64) > REBALANCE_DRIFT_FACTOR * total;
 
     let (target, rebalanced) = if drifted {
-        let fresh_ranges = partition_ranges(accesses, parts);
+        let fresh_ranges = {
+            let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_RANGES);
+            partition_ranges(accesses, parts)
+        };
         let rebalanced = fresh_ranges != ranges;
         if rebalanced {
             // The touched test below is per *target* range: re-bin once.
@@ -493,29 +681,17 @@ pub fn incremental_outcomes(
         })
         .collect();
 
-    let rerun_ranges: Vec<(usize, Range<u64>)> = outcomes
+    let (rerun_slots, rerun_ranges): (Vec<usize>, Vec<Range<u64>>) = outcomes
         .iter()
         .enumerate()
         .filter(|(_, o)| o.is_none())
         .map(|(i, _)| (i, target[i].clone()))
-        .collect();
+        .unzip();
     let rerun = rerun_ranges.len();
     let reused = target.len() - rerun;
-    let mut slots: Vec<Option<PartitionOutcome>> = vec![None; rerun];
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .zip(&rerun_ranges)
-        .map(|(slot, (_, range))| {
-            let range = range.clone();
-            Box::new(move || {
-                let _task = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
-                *slot = Some(run_partition(index, range, accesses))
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    executor.run_batch(tasks);
-    for ((i, _), slot) in rerun_ranges.into_iter().zip(slots) {
-        outcomes[i] = Some(slot.expect("partition task ran"));
+    let recomputed = run_partitions(index, &rerun_ranges, accesses, executor);
+    for (i, outcome) in rerun_slots.into_iter().zip(recomputed) {
+        outcomes[i] = Some(outcome);
     }
     IncrementalOutcomes {
         outcomes: outcomes
@@ -528,15 +704,16 @@ pub fn incremental_outcomes(
     }
 }
 
-/// Merges finished partitions into one report (see [`merge_outcomes`]).
-pub(crate) fn merge_reports(partitions: Vec<ShadowPartition>) -> RaceReport {
-    merge_outcomes(partitions.into_iter().map(ShadowPartition::into_outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use futurerd_dag::StrandId;
+    use crate::parallel::{detect_frozen_outcomes, IncrementalFreezer, StdExecutor};
+    use crate::replay::ReplayAlgorithm;
+    use futurerd_dag::events::{ForkInfo, SpawnEvent, SyncEvent};
+    use futurerd_dag::trace::{Trace, TraceEvent};
+    use futurerd_dag::{FunctionId, StrandId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn acc(granule: u64, pos: u32, strand: u32, is_write: bool) -> GranuleAccess {
         GranuleAccess {
@@ -544,6 +721,261 @@ mod tests {
             pos,
             strand: StrandId(strand),
             is_write,
+        }
+    }
+
+    /// The sort-based partitioner the counting one replaced: sort every
+    /// granule, then close a range at each access-count quantile.
+    fn reference_partition_ranges(accesses: &[GranuleAccess], parts: usize) -> Vec<Range<u64>> {
+        let parts = parts.max(1);
+        if accesses.is_empty() {
+            return Vec::new();
+        }
+        let mut granules: Vec<u64> = accesses.iter().map(|a| a.granule).collect();
+        granules.sort_unstable();
+        let lo = granules[0];
+        let hi = granules[granules.len() - 1] + 1;
+        if parts == 1 {
+            return std::iter::once(lo..hi).collect();
+        }
+        let target = (granules.len() as u64).div_ceil(parts as u64);
+        let mut ranges = Vec::with_capacity(parts);
+        let mut start = lo;
+        let mut taken = 0u64;
+        let mut i = 0usize;
+        while i < granules.len() && ranges.len() + 1 < parts {
+            let granule = granules[i];
+            let mut j = i;
+            while j < granules.len() && granules[j] == granule {
+                j += 1;
+            }
+            if (j as u64 - taken) >= target {
+                ranges.push(start..granule + 1);
+                start = granule + 1;
+                taken = j as u64;
+            }
+            i = j;
+        }
+        if start < hi {
+            ranges.push(start..hi);
+        }
+        ranges
+    }
+
+    /// A seeded stream of `len` accesses to `base + [0, span)`; with
+    /// `hot`, about half of them hit granule `base` alone.
+    fn random_stream(seed: u64, len: usize, base: u64, span: u64, hot: bool) -> Vec<GranuleAccess> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|pos| {
+                let granule = if hot && rng.gen_bool(0.5) {
+                    base
+                } else {
+                    base + rng.gen_range(0..span)
+                };
+                acc(granule, pos as u32, 0, rng.gen_bool(0.3))
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(accesses: &[GranuleAccess], context: &str) {
+        for parts in 1..=9 {
+            assert_eq!(
+                partition_ranges(accesses, parts),
+                reference_partition_ranges(accesses, parts),
+                "{context}, parts {parts}"
+            );
+        }
+    }
+
+    fn distinct_granules(accesses: &[GranuleAccess]) -> usize {
+        accesses
+            .iter()
+            .map(|a| a.granule)
+            .collect::<HashSet<_>>()
+            .len()
+    }
+
+    #[test]
+    fn counting_partitioner_matches_the_sort_on_dense_streams() {
+        for seed in 0..48u64 {
+            let len = 1 + (seed as usize * 37) % 3000;
+            let span = [1, 7, 64, 4096, 5000, 100_000][seed as usize % 6];
+            let base = [0, 1 << 20, (1 << 32) + 5][seed as usize % 3];
+            for hot in [false, true] {
+                let stream = random_stream(seed, len, base, span, hot);
+                assert_matches_reference(
+                    &stream,
+                    &format!("seed {seed}, len {len}, span {span}, hot {hot}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn counting_partitioner_matches_the_sort_on_sparse_spans() {
+        for seed in 0..16u64 {
+            let mut stream = random_stream(seed, 800, 1 << 40, 1 << 36, seed % 2 == 0);
+            stream.extend(random_stream(!seed, 800, 1 << 60, 1 << 50, false));
+            assert_matches_reference(&stream, &format!("seed {seed}"));
+            // The histogram holds the touched pages only: a directory over
+            // this span would need 2^48 slots.
+            let (lo, max) = granule_bounds(&stream).expect("non-empty");
+            match GranuleHistogram::count(&stream, lo, max).pages {
+                PageTable::Sparse(pages) => assert!(pages.len() <= distinct_granules(&stream)),
+                PageTable::Directory(_) => panic!("seed {seed}: directory over a sparse span"),
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_directory_is_never_longer_than_the_stream() {
+        for (len, span) in [(1, 1), (10, 4096 * 10), (10, 4096 * 10 + 1), (500, 1 << 30)] {
+            let stream = random_stream(len as u64, len, 0, span, false);
+            let (lo, max) = granule_bounds(&stream).expect("non-empty");
+            if let PageTable::Directory(directory) = GranuleHistogram::count(&stream, lo, max).pages
+            {
+                assert!(directory.len() <= stream.len(), "len {len}, span {span}");
+            }
+        }
+    }
+
+    #[test]
+    fn thinly_spread_streams_count_one_granule_per_page() {
+        // One access per 4096-granule page: dense pages would cost 16 KiB
+        // per access, so the histogram falls back to single-granule pages.
+        let stream: Vec<_> = (0..2000u64)
+            .map(|i| acc(7 + i * 4096 + i % 5, i as u32, 0, i % 3 == 0))
+            .collect();
+        assert_matches_reference(&stream, "one access per page");
+        let (lo, max) = granule_bounds(&stream).expect("non-empty");
+        let histogram = GranuleHistogram::count(&stream, lo, max);
+        assert_eq!(histogram.page_bits, 0);
+        assert_eq!(histogram.pages().len(), stream.len());
+        // A dense stream keeps the 4096-granule pages.
+        let dense = random_stream(3, 2000, 0, 8192, false);
+        let (lo, max) = granule_bounds(&dense).expect("non-empty");
+        let histogram = GranuleHistogram::count(&dense, lo, max);
+        assert_eq!(histogram.page_bits, HIST_PAGE_BITS);
+        assert_eq!(histogram.pages().len(), 2);
+    }
+
+    #[test]
+    fn counting_partitioner_matches_the_sort_with_more_parts_than_granules() {
+        for distinct in [1u64, 2, 3, 8] {
+            let stream = random_stream(distinct, 200, 10, distinct, false);
+            assert_eq!(distinct_granules(&stream) as u64, distinct);
+            assert_matches_reference(&stream, &format!("{distinct} granules"));
+            for parts in [distinct as usize + 1, 64, 1000] {
+                let ranges = partition_ranges(&stream, parts);
+                assert_eq!(ranges, reference_partition_ranges(&stream, parts));
+                assert!(ranges.len() as u64 <= distinct);
+            }
+        }
+    }
+
+    /// One spawned child racing with its parent's continuation over
+    /// `granules` granules: the child writes, the continuation reads and
+    /// writes, both at seeded positions.
+    fn racy_fork_join_trace(seed: u64, granules: u64) -> Trace {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let root = FunctionId(0);
+        let child = FunctionId(1);
+        let fork = ForkInfo {
+            pre_fork_strand: StrandId(0),
+            child_first_strand: StrandId(1),
+            cont_strand: StrandId(2),
+        };
+        let mut accesses = |t: &mut Trace, strand: u32, count: usize, writes: f64| {
+            for _ in 0..count {
+                let strand = StrandId(strand);
+                let addr = MemAddr(rng.gen_range(0..granules) * MemAddr::GRANULARITY);
+                let size = 4 * rng.gen_range(1..=4u32);
+                t.push(if rng.gen_bool(writes) {
+                    TraceEvent::Write { strand, addr, size }
+                } else {
+                    TraceEvent::Read { strand, addr, size }
+                });
+            }
+        };
+        let mut t = Trace::new();
+        t.push(TraceEvent::ProgramStart {
+            root,
+            first: StrandId(0),
+        });
+        t.push(TraceEvent::StrandStart {
+            strand: StrandId(0),
+            function: root,
+        });
+        accesses(&mut t, 0, 50, 0.5);
+        t.push(TraceEvent::Spawn(SpawnEvent {
+            parent: root,
+            child,
+            fork_strand: StrandId(0),
+            cont_strand: StrandId(2),
+            child_first_strand: StrandId(1),
+        }));
+        t.push(TraceEvent::StrandStart {
+            strand: StrandId(1),
+            function: child,
+        });
+        accesses(&mut t, 1, 150, 1.0);
+        t.push(TraceEvent::Return {
+            function: child,
+            last: StrandId(1),
+        });
+        t.push(TraceEvent::StrandStart {
+            strand: StrandId(2),
+            function: root,
+        });
+        accesses(&mut t, 2, 150, 0.4);
+        t.push(TraceEvent::Sync(SyncEvent {
+            parent: root,
+            child,
+            pre_join_strand: StrandId(2),
+            join_strand: StrandId(3),
+            child_last_strand: StrandId(1),
+            fork,
+        }));
+        t.push(TraceEvent::StrandStart {
+            strand: StrandId(3),
+            function: root,
+        });
+        accesses(&mut t, 3, 50, 0.5);
+        t.push(TraceEvent::Return {
+            function: root,
+            last: StrandId(3),
+        });
+        t.push(TraceEvent::ProgramEnd { last: StrandId(3) });
+        t.validate().expect("hand-built trace is canonical");
+        t
+    }
+
+    #[test]
+    fn engine_outcomes_are_run_partition_over_each_range() {
+        for seed in 0..4u64 {
+            let trace = racy_fork_join_trace(seed, 96);
+            for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
+                let mut freezer = IncrementalFreezer::new(algorithm).expect("freezable");
+                freezer.extend(trace.events());
+                let index = freezer.snapshot_index();
+                let accesses = freezer.accesses();
+                for threads in [2, 3, 8] {
+                    let ranges = partition_ranges(accesses, threads);
+                    assert!(ranges.len() > 1, "seed {seed}: P={threads} did not split");
+                    let outcomes = detect_frozen_outcomes(&index, accesses, threads, &StdExecutor);
+                    assert_eq!(outcomes.len(), ranges.len());
+                    for (outcome, range) in outcomes.iter().zip(ranges) {
+                        assert_eq!(
+                            *outcome,
+                            run_partition(&index, range.clone(), accesses),
+                            "seed {seed}, {algorithm}, P={threads}, range {range:?}"
+                        );
+                    }
+                    let found: usize = outcomes.iter().map(|o| o.witnesses.len()).sum();
+                    assert!(found > 0, "seed {seed}: the trace races");
+                }
+            }
         }
     }
 
@@ -581,6 +1013,7 @@ mod tests {
     #[test]
     fn empty_access_stream_yields_no_partitions() {
         assert!(partition_ranges(&[], 4).is_empty());
+        assert_matches_reference(&[], "empty stream");
     }
 
     #[test]
@@ -636,7 +1069,7 @@ mod tests {
         b.found(2, race_b);
         a.found(5, race_a);
         a.found(6, race_a);
-        let report = merge_reports(vec![a, b]);
+        let report = merge_outcomes([a.into_outcome(), b.into_outcome()]);
         assert_eq!(report.race_count(), 2);
         assert_eq!(report.total_observations(), 3);
         // Sorted by position: the partition-b race comes first.

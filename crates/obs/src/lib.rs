@@ -34,7 +34,8 @@
 //!
 //! Nested and worker-side stages refine those: `freeze.assist.dispatch`
 //! (coordinator-side batch publication), `freeze.assist.stamp`
-//! (worker-side pull loops), `detect.partition` (per-partition tasks),
+//! (worker-side pull loops), `detect.ranges` (choosing the partition
+//! boundaries), `detect.partition` (per-partition tasks),
 //! `store.sidecar.encode` / `store.sidecar.decode`, and per-path report
 //! timings `session.report.cold|warm_index|warm_cached|incremental`.
 //!

@@ -28,6 +28,8 @@ pub const MERGE: &str = "merge";
 
 /// Per-partition detection task (worker side).
 pub const DETECT_PARTITION: &str = "detect.partition";
+/// Choosing the pass-2 partition boundaries (coordinator side).
+pub const DETECT_RANGES: &str = "detect.ranges";
 /// Coordinator-side publication of one stamping batch.
 pub const FREEZE_ASSIST_DISPATCH: &str = "freeze.assist.dispatch";
 /// Worker-side pull loop over one stamping batch.
@@ -87,6 +89,7 @@ pub const MANIFEST: &[&str] = &[
     DETECT,
     MERGE,
     DETECT_PARTITION,
+    DETECT_RANGES,
     FREEZE_ASSIST_DISPATCH,
     FREEZE_ASSIST_STAMP,
     STORE_DETECT_COLD,
@@ -176,6 +179,7 @@ mod tests {
             super::DETECT,
             super::MERGE,
             super::DETECT_PARTITION,
+            super::DETECT_RANGES,
             super::FREEZE_ASSIST_DISPATCH,
             super::FREEZE_ASSIST_STAMP,
             super::SESSION_INGEST_EVENTS,

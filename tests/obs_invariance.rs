@@ -286,7 +286,8 @@ fn enabled_runs_record_the_documented_stages() {
     let snapshot = futurerd_obs::snapshot();
     futurerd_obs::set_enabled(false);
 
-    for stage in ["validate", "freeze", "detect", "merge"] {
+    // `detect.ranges` is the P=2 partition-boundary pass, nested in `detect`.
+    for stage in ["validate", "freeze", "detect", "detect.ranges", "merge"] {
         let stats = snapshot
             .stage(stage)
             .unwrap_or_else(|| panic!("stage '{stage}' missing from {snapshot:?}"));
