@@ -104,10 +104,9 @@ fn usage() -> ! {
          (JSON-lines unless --metrics says otherwise).\n\
          --trace-out additionally records the interval timeline journal and\n\
          writes it as Chrome-trace JSON (chrome://tracing, Perfetto);\n\
-         --timeline prints the journal as an aligned text timeline. With\n\
-         either flag on, replay routes freezable algorithms through the\n\
-         sharded engine even at P=1 so the stages are attributed (the\n\
-         report stays byte-identical).\n\
+         --timeline prints the journal as an aligned text timeline.\n\
+         Observing never reroutes: replay at P=1 runs the same single pass\n\
+         with or without these flags, attributed as validate and detect.\n\
          profile replays <trace> through the sharded engine at P=1 and P=N\n\
          (N from --threads, else FUTURERD_PAR_THREADS, else the machine's\n\
          parallelism) and prints the per-stage time breakdown: validate,\n\
@@ -673,23 +672,21 @@ fn cmd_replay(opts: &Options) -> ExitCode {
             continue;
         }
         let start = Instant::now();
-        // With the recorders on, route freezable algorithms through the
-        // two-pass engine even at P=1: the report is byte-identical (the
-        // determinism tests pin that) and the run gets stage-attributed
-        // spans/intervals instead of one opaque blob.
-        let sharded = (opts.threads > 1 || futurerd_obs::recording()) && algorithm.freezable();
-        let report = if sharded {
-            match par_replay_detect(&trace, algorithm, opts.threads) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("parallel replay failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+        // The facade's one-shot replay: the single pass at P=1 (recording
+        // or not — observing never reroutes), the sharded engine above it.
+        let sharded = opts.threads > 1 && algorithm.freezable();
+        let config = futurerd::Config::new()
+            .algorithm(algorithm.into())
+            .threads(opts.threads);
+        let detection = match config.replay(&trace) {
+            Ok(detection) => detection,
+            Err(e) => {
+                eprintln!("replay failed: {e}");
+                return ExitCode::FAILURE;
             }
-        } else {
-            replay_detect_unchecked(&trace, algorithm)
         };
-        verdict_line(algorithm, &report, start.elapsed());
+        let report = detection.report();
+        verdict_line(algorithm, report, start.elapsed());
         if sharded {
             println!(
                 "              (sharded parallel engine, P={})",

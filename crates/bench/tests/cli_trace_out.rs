@@ -8,7 +8,7 @@
 //! artifacts with the in-crate JSON reader.
 
 use futurerd_bench::json::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -52,6 +52,27 @@ fn record_fixture(dir: &Path) -> PathBuf {
     assert!(ok, "record failed\nstdout: {stdout}\nstderr: {stderr}");
     assert!(trace.exists(), "record did not write {}", trace.display());
     trace
+}
+
+/// The verdict line of a replay's stdout, without the trailing
+/// "(elapsed)" that differs run to run.
+fn verdict(stdout: &str) -> Option<String> {
+    stdout
+        .lines()
+        .find(|l| l.contains("racy granules"))
+        .map(|l| l.split("  (").next().unwrap_or(l).trim_end().to_string())
+}
+
+/// `(type, name)` of every row of a JSON-lines metrics export.
+fn metric_rows(path: &Path) -> BTreeSet<(String, String)> {
+    let text = std::fs::read_to_string(path).expect("metrics written");
+    text.lines()
+        .map(|line| {
+            let row = Json::parse(line).expect("JSON-lines metrics");
+            let field = |key: &str| row.get(key).unwrap().as_str().unwrap().to_string();
+            (field("type"), field("name"))
+        })
+        .collect()
 }
 
 /// Per-stage `(total_dur_ns, count)` summed from the Chrome-trace "X"
@@ -208,16 +229,57 @@ fn timeline_flag_prints_text_timeline_without_changing_verdict() {
         with_timeline.contains("thread") && with_timeline.contains("stage"),
         "timeline table header missing in: {with_timeline}"
     );
-    // Compare the counts only: the trailing "(elapsed)" differs run to run.
-    let verdict = |s: &str| {
-        s.lines()
-            .find(|l| l.contains("racy granules"))
-            .map(|l| l.split("  (").next().unwrap_or(l).trim_end().to_string())
-    };
     assert_eq!(
         verdict(&plain),
         verdict(&with_timeline),
         "verdict line changed under --timeline"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn observed_single_thread_replay_runs_the_same_single_pass() {
+    let dir = temp_dir("single-pass");
+    let trace = record_fixture(&dir);
+    let trace_arg = trace.to_str().unwrap();
+    let metrics_path = dir.join("metrics.json");
+
+    let (plain, _, ok) = run(&["replay", "--input", trace_arg, "--algorithm", "multibags+"]);
+    assert!(ok, "plain replay failed");
+    let (observed, stderr, ok) = run(&[
+        "replay",
+        "--input",
+        trace_arg,
+        "--algorithm",
+        "multibags+",
+        "--threads",
+        "1",
+        "--metrics-out",
+        metrics_path.to_str().unwrap(),
+    ]);
+    assert!(
+        ok,
+        "observed replay failed\nstdout: {observed}\nstderr: {stderr}"
+    );
+
+    // Recording attributes the single pass instead of rerouting it
+    // through the two-pass engine: validate and detect, no freeze.
+    let rows = metric_rows(&metrics_path);
+    let stage = |name: &str| rows.contains(&("stage".to_string(), name.to_string()));
+    assert!(stage("validate") && stage("detect"), "{rows:?}");
+    assert!(!stage("freeze"), "a P=1 replay must not freeze: {rows:?}");
+    for gauge in ["reach.queries", "detector.read_checks"] {
+        assert!(
+            rows.contains(&("metric".to_string(), gauge.to_string())),
+            "{gauge} missing: {rows:?}"
+        );
+    }
+    assert!(verdict(&plain).is_some(), "no verdict line in: {plain}");
+    assert_eq!(
+        verdict(&plain),
+        verdict(&observed),
+        "verdict line changed under --metrics-out"
     );
 
     std::fs::remove_dir_all(&dir).ok();

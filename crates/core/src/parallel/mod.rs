@@ -51,7 +51,7 @@ pub use shard::{
 
 use crate::races::RaceReport;
 use crate::replay::{replay_detect_unchecked, ReplayAlgorithm};
-use futurerd_dag::trace::{Trace, TraceError};
+use futurerd_dag::trace::{Trace, TraceCounts, TraceError};
 
 /// Runs a batch of independent detection workers to completion.
 ///
@@ -64,25 +64,24 @@ pub trait DetectExecutor {
     fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>);
 }
 
-/// The default executor: one scoped OS thread per task (and no thread at all
-/// for a single task).
+/// The default executor: the calling thread runs the first task, and every
+/// other task gets a scoped OS thread of its own (so a single task spawns
+/// no thread at all).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StdExecutor;
 
 impl DetectExecutor for StdExecutor {
     fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        if tasks.len() <= 1 {
-            for task in tasks {
-                task();
-            }
+        let mut tasks = tasks.into_iter();
+        let Some(first) = tasks.next() else {
             return;
-        }
+        };
         // Label the scoped threads only while observability is recording:
         // labels register a per-thread buffer with the global registry, and
         // an idle run should not pay that registration.
         let label = futurerd_obs::recording();
         std::thread::scope(|scope| {
-            for (slot, task) in tasks.into_iter().enumerate() {
+            for (slot, task) in (1..).zip(tasks) {
                 scope.spawn(move || {
                     if label {
                         futurerd_obs::set_thread_label(&format!("detect.{slot}"));
@@ -90,6 +89,8 @@ impl DetectExecutor for StdExecutor {
                     task();
                 });
             }
+            // The caller works instead of parking until the others finish.
+            first();
         });
     }
 }
@@ -133,49 +134,56 @@ pub fn par_replay_detect(
 /// (e.g. the work-stealing pool of `futurerd-runtime`): pass 2's detection
 /// partitions through [`DetectExecutor::run_batch`], and pass 1's large
 /// closure stamping batches through [`AssistExecutor::assist`] when
-/// `threads > 1`.
+/// `threads > 1`. A thin wrapper over [`par_replay_outcomes_with`].
 pub fn par_replay_detect_with(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
     threads: usize,
     executor: &(impl DetectExecutor + AssistExecutor),
 ) -> Result<RaceReport, TraceError> {
-    {
-        let _span = futurerd_obs::Span::enter(futurerd_obs::names::VALIDATE);
-        trace.validate()?;
+    match par_replay_outcomes_with(trace, algorithm, threads, executor)? {
+        (_, Some(outcomes)) => Ok(merge_outcomes(outcomes)),
+        // No frozen form for this algorithm: sequential replay gives the
+        // same report by definition.
+        (_, None) => Ok(replay_detect_unchecked(trace, algorithm)),
     }
+}
+
+/// The one-shot engine pipeline over a borrowed trace: validate, freeze
+/// (pass 1, moving the frozen state straight into the index) and sharded
+/// pass 2, returning the trace's totals and the per-partition outcomes
+/// (merge with [`merge_outcomes`] or [`merge_outcomes_stats`]).
+///
+/// The trace is never copied and no resumable freezer is kept: a one-shot
+/// request has nothing to resume. The outcomes are `None` for algorithms
+/// without a frozen form; the caller replays those sequentially.
+pub fn par_replay_outcomes_with(
+    trace: &Trace,
+    algorithm: ReplayAlgorithm,
+    threads: usize,
+    executor: &(impl DetectExecutor + AssistExecutor),
+) -> Result<(TraceCounts, Option<Vec<PartitionOutcome>>), TraceError> {
+    let counts = {
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::VALIDATE);
+        trace.validate()?
+    };
     let assist = (threads > 1).then(|| FreezeAssist::new(threads, executor));
     let frozen = {
         let _span = futurerd_obs::Span::enter(futurerd_obs::names::FREEZE);
         freeze::freeze_with_accesses_assisted(trace, algorithm, assist.as_ref())
     };
-    let Some((index, accesses)) = frozen else {
-        // No frozen form for this algorithm: sequential replay gives the
-        // same report by definition.
-        return Ok(replay_detect_unchecked(trace, algorithm));
-    };
-    Ok(detect_frozen(&index, &accesses, threads, executor))
+    let outcomes = frozen
+        .map(|(index, accesses)| detect_frozen_outcomes(&index, &accesses, threads, executor));
+    Ok((counts, outcomes))
 }
 
 /// Pass 2 alone: sharded detection over an already-frozen index and its
 /// granule access stream — the warm path of a persistent detection store,
-/// which loads both from an `FRDIDX` sidecar instead of refreezing.
-///
-/// Identical to the pass-2 stage of [`par_replay_detect_with`]; the report
-/// is byte-identical to sequential replay at every thread count.
-pub fn detect_frozen(
-    index: &ReachIndex,
-    accesses: &[GranuleAccess],
-    threads: usize,
-    executor: &impl DetectExecutor,
-) -> RaceReport {
-    merge_outcomes(detect_frozen_outcomes(index, accesses, threads, executor))
-}
-
-/// As [`detect_frozen`], but returns the per-partition outcomes instead of
-/// the merged report — the form a store persists so that incremental
-/// re-detection can reuse outcomes for untouched granule ranges. Merge with
-/// [`merge_outcomes`].
+/// which loads both from an `FRDIDX` sidecar instead of refreezing. Returns
+/// the per-partition outcomes, the form a store persists so that
+/// incremental re-detection can reuse outcomes for untouched granule
+/// ranges; [`merge_outcomes`] turns them into a report byte-identical to
+/// sequential replay at every thread count.
 ///
 /// One outcome per [`partition_ranges`] range, each equal to
 /// [`run_partition`] on that range: every task reads the shared stream in

@@ -109,8 +109,8 @@
 //! ## Record once, detect many times
 //!
 //! [`record`] captures an execution as a persistent [`Trace`] without any
-//! detection state; [`Config::replay`] — a single-shot session — feeds a
-//! trace back through any detector. Traces serialize ([`Trace::save`] /
+//! detection state; [`Config::replay`] feeds a trace back through any
+//! detector in one shot. Traces serialize ([`Trace::save`] /
 //! [`Trace::load`]), so detection can happen offline, repeatedly, across
 //! algorithms — see the `futurerd-trace` CLI in `futurerd-bench` for the
 //! command-line version of this workflow (including `follow`, the
@@ -164,9 +164,11 @@ pub use futurerd_store::{
 };
 pub use session::Session;
 
+use futurerd_core::parallel::{merge_outcomes_stats, par_replay_outcomes_with};
 use futurerd_core::reachability::{
     GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsConservative,
 };
+use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
 use futurerd_runtime::run_program;
 
@@ -202,6 +204,18 @@ pub enum Algorithm {
     /// The ground-truth graph oracle (explicit transitive closure): exact on
     /// every program, but quadratic space — for tests and ablations.
     GraphOracle,
+}
+
+impl From<ReplayAlgorithm> for Algorithm {
+    fn from(algorithm: ReplayAlgorithm) -> Self {
+        match algorithm {
+            ReplayAlgorithm::MultiBags => Algorithm::MultiBags,
+            ReplayAlgorithm::MultiBagsPlus => Algorithm::MultiBagsPlus,
+            ReplayAlgorithm::SpBags => Algorithm::SpBags,
+            ReplayAlgorithm::SpBagsConservative => Algorithm::SpBagsConservative,
+            ReplayAlgorithm::GraphOracle => Algorithm::GraphOracle,
+        }
+    }
 }
 
 /// How much of the detection pipeline runs — the four measurement
@@ -270,18 +284,20 @@ impl Config {
         self
     }
 
-    /// Number of detection threads used by sessions and the `replay*`
-    /// wrappers (default 1).
+    /// Number of detection threads used by replays and sessions (default
+    /// 1).
     ///
-    /// With more than one thread, full-detection MultiBags / MultiBags+
-    /// requests run pass 2 of the parallel engine
-    /// (`futurerd-core::parallel`) sharded across workers on a
-    /// work-stealing [`ThreadPool`]: the granule space is split into
+    /// At one thread, [`Config::replay`] runs the paper's single pass: one
+    /// depth-first replay maintaining the reachability structure alongside
+    /// the access history, with no freeze. With more than one thread,
+    /// full-detection MultiBags / MultiBags+ requests run the two-pass
+    /// parallel engine (`futurerd-core::parallel`): pass 1 freezes the
+    /// reachability structure, and pass 2 shards detection across workers
+    /// on a work-stealing [`ThreadPool`] — the granule space is split into
     /// contiguous ranges balanced by access count and the per-partition
-    /// reports are merged deterministically — the [`RaceReport`] is
-    /// identical to a single-threaded replay at any thread count. Other
-    /// algorithms and partial analyses replay sequentially regardless of
-    /// this setting.
+    /// reports are merged deterministically. The [`RaceReport`] is
+    /// identical at any thread count. Other algorithms and partial analyses
+    /// replay in a single pass regardless of this setting.
     ///
     /// Workers come from the **process-shared** pool of this size
     /// ([`ThreadPool::shared`]), so repeated replays and batch jobs pay the
@@ -289,7 +305,8 @@ impl Config {
     /// [`Session::on_pool`]) to supply a pool explicitly.
     ///
     /// Engine paths report the summed per-partition `detector_stats` but no
-    /// `reach_stats` (the freeze does not meter its reachability work).
+    /// `reach_stats` (the freeze does not meter its reachability work);
+    /// single-pass paths report both.
     ///
     /// # Example
     ///
@@ -409,13 +426,20 @@ impl Config {
     /// offline detection on a trace captured by [`record`] (or loaded from
     /// disk with [`Trace::load`]).
     ///
-    /// This is the single-shot form of a [`Session`]: the trace is ingested
-    /// into a fresh session (validating the canonical serial-DF ordering
-    /// invariant, which the detectors' correctness depends on, and
-    /// requiring a complete stream) and reported once. The returned
-    /// [`Detection`] carries no program value, its summary's
-    /// `bytes_allocated` is zero (traces do not record allocations), and
-    /// its [`path`](Detection::path) records how the request was served.
+    /// The borrowed trace is validated in place (the canonical serial-DF
+    /// ordering invariant, which the detectors' correctness depends on, and
+    /// a complete stream ending in `ProgramEnd`) and detected once; nothing
+    /// is copied or kept. At one detection thread — and for partial
+    /// analyses or algorithms without a frozen form at any thread count —
+    /// the configured detector runs the paper's single pass over the
+    /// events, reporting `reach_stats` too. With more
+    /// [`threads`](Config::threads), MultiBags / MultiBags+ full detection
+    /// runs the two-pass engine on the process-shared pool. Either way the
+    /// [`RaceReport`] is byte-identical to a [`Session`] fed the same
+    /// events. The returned [`Detection`] carries no program value, its
+    /// summary's `bytes_allocated` is zero (traces do not record
+    /// allocations), and its [`path`](Detection::path) is
+    /// [`DetectionPath::Cold`].
     ///
     /// [`Algorithm::SpBags`] has no transition for future constructs, so
     /// replaying a futures-bearing trace under it returns
@@ -436,16 +460,14 @@ impl Config {
     /// assert_eq!(detection.summary.gets, recorded.summary.gets);
     /// ```
     pub fn replay(self, trace: &Trace) -> Result<Detection<()>, Error> {
-        let mut session = self.session();
-        session.ingest(trace.events())?;
-        require_complete(&session, trace.len())?;
-        session.report()
+        self.replay_with(trace, None)
     }
 
     /// As [`Config::replay`], but parallel detection workers run on the
     /// given pool instead of the facade's process-shared one — for callers
     /// that manage pool lifetime themselves. The partition count still comes
-    /// from [`Config::threads`].
+    /// from [`Config::threads`]; at one thread the single pass runs on the
+    /// calling thread and the pool is not used.
     ///
     /// # Example
     ///
@@ -467,10 +489,49 @@ impl Config {
     /// assert_eq!(d.race_count(), 1);
     /// ```
     pub fn replay_on(self, trace: &Trace, pool: &ThreadPool) -> Result<Detection<()>, Error> {
-        let mut session = self.session().on_pool(pool);
-        session.ingest(trace.events())?;
-        require_complete(&session, trace.len())?;
-        session.report()
+        self.replay_with(trace, Some(pool))
+    }
+
+    /// The one-shot replay behind [`Config::replay`] and
+    /// [`Config::replay_on`]: the single pass when the engine has nothing
+    /// to shard, the two-pass engine on `pool` (or the shared pool)
+    /// otherwise.
+    fn replay_with(self, trace: &Trace, pool: Option<&ThreadPool>) -> Result<Detection<()>, Error> {
+        if self.threads == 1 || self.analysis != Analysis::Full {
+            let counts = {
+                let _span = futurerd_obs::Span::enter(futurerd_obs::names::VALIDATE);
+                trace.validate()?
+            };
+            return sequential_detection(self, trace, summary_from_counts(&counts));
+        }
+        let shared;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                shared = ThreadPool::shared(self.threads);
+                &shared
+            }
+        };
+        let algorithm = session::replay_algorithm(self.algorithm);
+        let (counts, outcomes) =
+            par_replay_outcomes_with(trace, algorithm, self.threads, &PoolExecutor(pool))?;
+        let summary = summary_from_counts(&counts);
+        let Some(outcomes) = outcomes else {
+            // No frozen form for this algorithm: the single pass.
+            return sequential_detection(self, trace, summary);
+        };
+        let (report, detector_stats) = merge_outcomes_stats(outcomes);
+        detector_stats.export_metrics("detector");
+        pool.export_worker_metrics("pool");
+        Ok(Detection {
+            value: (),
+            summary,
+            config: self,
+            report: Some(report),
+            reach_stats: None,
+            detector_stats: Some(detector_stats),
+            path: Some(DetectionPath::Cold),
+        })
     }
 
     /// Opens (or creates) a persistent detection [`Store`] rooted at `path`
@@ -526,27 +587,67 @@ impl Config {
         if self.analysis != Analysis::Full {
             // A stored index only exists for full detection; honor the
             // requested partial analysis by replaying the trace itself.
+            // Stored traces may be prefixes of a growing execution.
             let trace = store.load_trace(name)?;
-            let mut session = self.session();
-            session.ingest(trace.events())?;
-            return session.report();
+            let (counts, _) = trace.validate_prefix()?;
+            return sequential_detection(self, &trace, summary_from_counts(&counts));
         }
         let mut session = self.open_session(store, name)?;
         session.report()
     }
 }
 
-/// Rejects a stream that stopped before `ProgramEnd` — the one-shot
-/// `replay*` wrappers require complete traces (sessions accept prefixes).
-fn require_complete(session: &Session<'_>, len: usize) -> Result<(), Error> {
-    if session.is_complete() {
-        Ok(())
-    } else {
-        Err(Error::Trace(TraceError::Invariant {
-            index: len,
-            message: "stream ended before ProgramEnd".to_string(),
-        }))
+/// The paper's single pass: replays the (already validated) events once
+/// through the configured observer, which maintains the reachability
+/// structure alongside the access history. Serves one-shot replays and
+/// every report of a session without a frozen form; the path is always
+/// [`DetectionPath::Cold`].
+///
+/// SP-Bags has no transition for future constructs, so it refuses
+/// futures-bearing traces; its conservative variant runs and marks the
+/// verdict approximate.
+fn sequential_detection(
+    config: Config,
+    trace: &Trace,
+    summary: ExecutionSummary,
+) -> Result<Detection<()>, Error> {
+    if config.algorithm == Algorithm::SpBags && trace.has_futures() {
+        return Err(Error::unsupported(
+            "SP-Bags cannot consume traces that contain futures",
+        ));
     }
+    let mut observer = config.build_observer();
+    {
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
+        futurerd_dag::trace::replay_events(trace.events(), &mut observer);
+    }
+    let Outcome {
+        mut report,
+        reach_stats,
+        detector_stats,
+    } = observer.into_outcome();
+    if let Some(stats) = &reach_stats {
+        stats.export_metrics("reach");
+    }
+    if let Some(stats) = &detector_stats {
+        stats.export_metrics("detector");
+    }
+    if config.algorithm == Algorithm::SpBagsConservative && trace.has_futures() {
+        // The conservative fallback folded futures into fork-join
+        // constructs: the verdict is approximate by construction.
+        if let Some(report) = report.as_mut() {
+            report.mark_approximate();
+        }
+    }
+    Ok(Detection {
+        value: (),
+        summary,
+        config,
+        report,
+        reach_stats,
+        detector_stats,
+        path: Some(DetectionPath::Cold),
+    })
 }
 
 /// Maps validated trace totals onto the executor's summary shape (replayed
@@ -702,9 +803,13 @@ pub struct Detection<T> {
     pub config: Config,
     /// The race report — present only under [`Analysis::Full`].
     pub report: Option<RaceReport>,
-    /// Reachability work counters — absent under [`Analysis::Baseline`]
-    /// and on the frozen-engine replay paths (the freeze does not meter its
-    /// reachability work).
+    /// Reachability work counters — present on every single-pass run
+    /// ([`Config::run`], [`Config::replay`] at one detection thread or with
+    /// an algorithm or analysis the engine does not shard, and session
+    /// reports without a frozen form). Absent under [`Analysis::Baseline`]
+    /// and on the frozen-engine paths: threaded replays and the
+    /// MultiBags / MultiBags+ full-detection sessions and stores (the
+    /// freeze does not meter its reachability work).
     pub reach_stats: Option<ReachStats>,
     /// Access-history counters — present only under [`Analysis::Full`].
     /// On engine paths these are the per-partition counters summed (equal

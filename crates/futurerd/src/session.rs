@@ -3,7 +3,9 @@
 //! root) carries the full routing-model documentation.
 
 use crate::error::Error;
-use crate::{summary_from_counts, Algorithm, Analysis, Config, Detection, PoolExecutor};
+use crate::{
+    sequential_detection, summary_from_counts, Algorithm, Analysis, Config, Detection, PoolExecutor,
+};
 use futurerd_core::parallel::{
     detect_frozen_outcomes, incremental_outcomes, merge_outcomes_stats, AssistExecutor,
     DetectExecutor, FreezeAssist, IncrementalFreezer, IncrementalOutcomes, PartitionOutcome,
@@ -469,45 +471,13 @@ impl<'s> Session<'s> {
         &mut self,
         summary: futurerd_runtime::exec::ExecutionSummary,
     ) -> Result<Detection<()>, Error> {
-        if self.config.algorithm == Algorithm::SpBags && self.trace.has_futures() {
-            return Err(Error::unsupported(
-                "SP-Bags cannot consume traces that contain futures",
-            ));
-        }
         let started = futurerd_obs::recording().then(std::time::Instant::now);
-        let mut observer = self.config.build_observer();
-        futurerd_dag::trace::replay_events(self.trace.events(), &mut observer);
-        let crate::Outcome {
-            mut report,
-            reach_stats,
-            detector_stats,
-        } = observer.into_outcome();
+        let detection = sequential_detection(self.config, &self.trace, summary)?;
         if let Some(started) = started {
             futurerd_obs::record_stage(futurerd_obs::names::SESSION_REPORT_COLD, started);
             futurerd_obs::counter_add("session.path.cold", 1);
-            if let Some(stats) = &reach_stats {
-                stats.export_metrics("reach");
-            }
-            if let Some(stats) = &detector_stats {
-                stats.export_metrics("detector");
-            }
         }
-        if self.config.algorithm == Algorithm::SpBagsConservative && self.trace.has_futures() {
-            // The conservative fallback folded futures into fork-join
-            // constructs: the verdict is approximate by construction.
-            if let Some(report) = report.as_mut() {
-                report.mark_approximate();
-            }
-        }
-        Ok(Detection {
-            value: (),
-            summary,
-            config: self.config,
-            report,
-            reach_stats,
-            detector_stats,
-            path: Some(DetectionPath::Cold),
-        })
+        Ok(detection)
     }
 }
 

@@ -18,6 +18,9 @@
 //!   *byte-identical* to sequential replay (witnesses, granule set, and
 //!   observation totals) — any difference is a real bug regardless of
 //!   algorithm soundness;
+//! * the facade's one-shot [`Config::replay`] at the same widths (the
+//!   single pass at P=1, the engine above it), held to the same
+//!   byte-identity bar;
 //! * the work-assisted pass-1 freeze at P ∈ {2, 8} with forced-low batch
 //!   thresholds, whose frozen state must equal the sequential freeze **bit
 //!   for bit** ([`IncrementalFreezer::to_raw`]) — any mismatch is a real
@@ -44,7 +47,7 @@
 pub mod fixture;
 pub mod shrink;
 
-use futurerd::{Algorithm, Config};
+use futurerd::Config;
 use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, StdExecutor};
 use futurerd_core::races::{AccessKind, Race, RaceReport};
 use futurerd_core::replay::{replay_detect_unchecked, ApproximationError, ReplayAlgorithm};
@@ -94,7 +97,8 @@ pub struct Divergence {
     /// The algorithm that diverged.
     pub algorithm: ReplayAlgorithm,
     /// The detection path that produced the divergent verdict
-    /// (`"sequential"`, `"par(P=2)"`, `"session(chunking=1,threads=2)"`,
+    /// (`"sequential"`, `"par(P=2)"`, `"oneshot(P=1)"`,
+    /// `"session(chunking=1,threads=2)"`,
     /// `"store(incremental)"`, ...).
     pub path: String,
     /// The classification.
@@ -130,8 +134,8 @@ impl std::fmt::Display for Divergence {
 /// Knobs for one fuzzing run.
 #[derive(Debug, Clone)]
 pub struct FuzzOptions {
-    /// Parallel-engine widths to check (each must be byte-identical to
-    /// sequential replay).
+    /// Parallel-engine and one-shot replay widths to check (each must be
+    /// byte-identical to sequential replay).
     pub threads: Vec<usize>,
     /// Random session chunkings per seed.
     pub chunkings: u32,
@@ -335,34 +339,48 @@ pub fn fuzz_seed(seed: u64, opts: &FuzzOptions, store: Option<&mut Store>) -> Se
         });
     }
 
-    // Parallel engine: byte-identical to sequential replay at every width,
-    // soundness notwithstanding (determinism is unconditional).
+    // Parallel engine and the facade's one-shot replay: byte-identical to
+    // sequential replay at every width, soundness notwithstanding
+    // (determinism is unconditional).
     for algorithm in ReplayAlgorithm::ALL {
         if !algorithm.runnable_for(&trace) {
             continue;
         }
         let sequential = replay_detect_unchecked(&trace, algorithm);
         for &threads in &opts.threads {
-            match par_replay_detect(&trace, algorithm, threads) {
-                Ok(parallel) if parallel == sequential => {}
-                Ok(parallel) => outcome.divergences.push(path_bug(
-                    seed,
-                    program.shape,
-                    algorithm,
-                    format!("par(P={threads})"),
-                    &parallel,
-                    &sequential,
-                )),
-                Err(err) => outcome.divergences.push(Divergence {
-                    seed,
-                    shape: program.shape,
-                    algorithm,
-                    path: format!("par(P={threads})"),
-                    kind: DivergenceKind::RealBug,
-                    missed: 0,
-                    spurious: 0,
-                    detail: format!("parallel replay failed on a valid trace: {err}"),
-                }),
+            let paths = [
+                (
+                    "par",
+                    par_replay_detect(&trace, algorithm, threads).map_err(|e| e.to_string()),
+                ),
+                (
+                    "oneshot",
+                    oneshot_report(&trace, algorithm, threads).map_err(|e| e.to_string()),
+                ),
+            ];
+            for (name, result) in paths {
+                let path = format!("{name}(P={threads})");
+                match result {
+                    Ok(report) if report == sequential => {}
+                    Ok(report) => outcome.divergences.push(path_bug(
+                        seed,
+                        program.shape,
+                        algorithm,
+                        path,
+                        &report,
+                        &sequential,
+                    )),
+                    Err(err) => outcome.divergences.push(Divergence {
+                        seed,
+                        shape: program.shape,
+                        algorithm,
+                        path,
+                        kind: DivergenceKind::RealBug,
+                        missed: 0,
+                        spurious: 0,
+                        detail: format!("{name} replay failed on a valid trace: {err}"),
+                    }),
+                }
             }
         }
     }
@@ -592,6 +610,21 @@ fn path_bug(
     }
 }
 
+/// The facade's one-shot replay of the whole trace at `threads`.
+fn oneshot_report(
+    trace: &Trace,
+    algorithm: ReplayAlgorithm,
+    threads: usize,
+) -> Result<RaceReport, futurerd::Error> {
+    let detection = Config::new()
+        .algorithm(algorithm.into())
+        .threads(threads)
+        .replay(trace)?;
+    Ok(detection
+        .report
+        .expect("full-analysis replays always carry a report"))
+}
+
 /// Feeds the trace into a streaming session in random chunks, forcing one
 /// mid-stream report, and returns the final report.
 fn session_report(
@@ -602,7 +635,7 @@ fn session_report(
 ) -> Result<RaceReport, futurerd::Error> {
     let events = trace.events();
     let mut session = Config::new()
-        .algorithm(facade_algorithm(algorithm))
+        .algorithm(algorithm.into())
         .threads(threads)
         .session();
     let mid = rng.gen_range(0..=events.len());
@@ -654,17 +687,6 @@ fn store_roundtrip(
         mismatches.push((format!("store({})", warm.path), warm.report));
     }
     Ok(mismatches)
-}
-
-/// Maps a replay algorithm onto the facade's algorithm selector.
-fn facade_algorithm(algorithm: ReplayAlgorithm) -> Algorithm {
-    match algorithm {
-        ReplayAlgorithm::MultiBags => Algorithm::MultiBags,
-        ReplayAlgorithm::MultiBagsPlus => Algorithm::MultiBagsPlus,
-        ReplayAlgorithm::SpBags => Algorithm::SpBags,
-        ReplayAlgorithm::SpBagsConservative => Algorithm::SpBagsConservative,
-        ReplayAlgorithm::GraphOracle => Algorithm::GraphOracle,
-    }
 }
 
 /// Resolves the granules of a program's planted locations by probing: a

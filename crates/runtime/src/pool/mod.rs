@@ -522,9 +522,10 @@ impl ThreadPool {
     /// parallel replay engine hands its per-partition detection workers here
     /// via the facade's `PoolExecutor`.
     ///
-    /// Blocks until every task has finished. Tasks may borrow from the
-    /// caller's stack (the `'env` lifetime); panics propagate like
-    /// [`ThreadPool::scope`].
+    /// The calling thread runs the first task itself while the workers
+    /// take the rest, rather than parking until they finish. Blocks until
+    /// every task has finished. Tasks may borrow from the caller's stack
+    /// (the `'env` lifetime); panics propagate like [`ThreadPool::scope`].
     ///
     /// ```
     /// use futurerd_runtime::ThreadPoolBuilder;
@@ -541,17 +542,15 @@ impl ThreadPool {
     /// assert_eq!(slots, vec![1, 2, 3]);
     /// ```
     pub fn run_batch<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if tasks.len() <= 1 {
-            // A single task (or none) gains nothing from scheduling.
-            for task in tasks {
-                task();
-            }
+        let mut tasks = tasks.into_iter();
+        let Some(first) = tasks.next() else {
             return;
-        }
+        };
         self.scope(|scope| {
             for task in tasks {
                 scope.spawn(task);
             }
+            first();
         });
     }
 
@@ -593,7 +592,8 @@ impl ThreadPool {
     }
 
     /// Creates a scope in which borrowed tasks can be spawned; blocks until
-    /// every task spawned in the scope has completed.
+    /// every task spawned in the scope has completed — also when `f`
+    /// panics, whose panic then resumes once the tasks are done.
     ///
     /// ```
     /// use futurerd_runtime::ThreadPoolBuilder;
@@ -614,8 +614,12 @@ impl ThreadPool {
             panic: Mutex::new(None),
             marker: std::marker::PhantomData,
         };
-        let result = f(&scope);
+        // Spawned tasks hold pointers to `scope` and borrow the caller's
+        // frame, so a panic in `f` must not unwind past them: catch it,
+        // wait, then resume it.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
         scope.wait();
+        let result = result.unwrap_or_else(|p| panic::resume_unwind(p));
         if let Some(p) = scope.panic.into_inner() {
             panic::resume_unwind(p);
         }
@@ -864,6 +868,75 @@ mod tests {
             Box::new(|| hit = true) as Box<dyn FnOnce() + Send + '_>
         ]);
         assert!(hit);
+    }
+
+    #[test]
+    fn run_batch_runs_the_first_task_on_the_caller() {
+        let pool = ThreadPool::new(2);
+        let caller = thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        pool.run_batch(
+            (0..4)
+                .map(|i| {
+                    let ran_on = &ran_on;
+                    Box::new(move || ran_on.lock().push((i, thread::current().id())))
+                        as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
+        let ran_on = ran_on.into_inner();
+        assert_eq!(
+            ran_on.len(),
+            4,
+            "every task finished before run_batch returned"
+        );
+        // The caller is no worker, so only the first task runs on it.
+        assert!(
+            ran_on.iter().all(|&(i, id)| (i == 0) == (id == caller)),
+            "{ran_on:?}"
+        );
+    }
+
+    #[test]
+    fn scope_waits_for_spawned_tasks_before_resuming_a_body_panic() {
+        /// Raises its flag when dropped, i.e. once the body unwinds.
+        struct OnDrop<'a>(&'a AtomicBool);
+        impl Drop for OnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let pool = ThreadPool::new(2);
+        let unwinding = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| {
+                    // Still running when the body starts to unwind, and slow
+                    // after that: a scope that does not wait for it returns
+                    // before the flag is set.
+                    while !unwinding.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    thread::sleep(std::time::Duration::from_millis(20));
+                    finished.store(true, Ordering::SeqCst);
+                });
+                let _unwinding = OnDrop(&unwinding);
+                panic!("scope body failed");
+            })
+        }));
+        assert!(result.is_err(), "the body's panic must propagate");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the panic escaped the scope before its spawned task finished"
+        );
+        // A panicking spawned task still propagates out of the scope.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| s.spawn(|| panic!("task failed")));
+        }));
+        assert!(result.is_err());
+        // The pool stays usable afterwards.
+        assert_eq!(pool.install(|| 7), 7);
     }
 
     #[test]

@@ -2,11 +2,65 @@
 //! the `Config` builder must agree with the underlying crates driven
 //! directly, across real workloads.
 
-use futurerd::{Algorithm, Analysis, Config};
+use futurerd::{Algorithm, Analysis, Config, DetectionPath, ReachStats, Trace};
 use futurerd_core::detector::RaceDetector;
 use futurerd_core::reachability::{MultiBags, MultiBagsPlus};
+use futurerd_core::replay::{replay_detect, replay_observer, ReplayAlgorithm};
 use futurerd_runtime::run_program;
 use futurerd_workloads::{lcs, mm};
+
+#[path = "support/fixtures.rs"]
+mod fixtures;
+use fixtures::fixture_traces;
+
+/// The reachability stats of the paper's single pass, driven directly.
+fn single_pass_reach_stats(trace: &Trace, algorithm: ReplayAlgorithm) -> ReachStats {
+    let stats = match algorithm {
+        ReplayAlgorithm::MultiBags => {
+            replay_observer(trace, RaceDetector::new(MultiBags::new())).map(|d| d.reach_stats())
+        }
+        ReplayAlgorithm::MultiBagsPlus => {
+            replay_observer(trace, RaceDetector::new(MultiBagsPlus::new())).map(|d| d.reach_stats())
+        }
+        other => panic!("{other} is not an engine algorithm"),
+    };
+    stats.expect("canonical trace")
+}
+
+#[test]
+fn one_shot_replay_matches_sessions_and_replay_detect_on_the_fixture_corpus() {
+    for (name, trace) in fixture_traces() {
+        for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
+            let sequential = replay_detect(&trace, algorithm).expect("canonical trace");
+            for threads in [1, 2, 8] {
+                let tag = format!("{name} {algorithm} P={threads}");
+                let config = Config::new().algorithm(algorithm.into()).threads(threads);
+                let one_shot = config.replay(&trace).expect("canonical trace");
+                let mut session = config.session();
+                session.ingest(trace.events()).expect("canonical trace");
+                let chunk = session.report().expect("complete stream reports");
+
+                let rendered = one_shot.report().to_string();
+                assert_eq!(rendered, chunk.report().to_string(), "{tag}: vs session");
+                assert_eq!(rendered, sequential.to_string(), "{tag}: vs replay_detect");
+                assert_eq!(one_shot.summary, chunk.summary, "{tag}");
+                assert_eq!(one_shot.path, Some(DetectionPath::Cold), "{tag}");
+                if threads == 1 {
+                    // The single pass meters R like any sequential run, and
+                    // its access history matches the P=1 engine's exactly.
+                    assert_eq!(
+                        one_shot.reach_stats,
+                        Some(single_pass_reach_stats(&trace, algorithm)),
+                        "{tag}"
+                    );
+                    assert_eq!(one_shot.detector_stats, chunk.detector_stats, "{tag}");
+                } else {
+                    assert_eq!(one_shot.reach_stats, None, "{tag}: engines do not meter R");
+                }
+            }
+        }
+    }
+}
 
 #[test]
 fn facade_matches_direct_detector_on_lcs() {

@@ -3,10 +3,14 @@
 //! corrupted on-disk state — returns a typed [`futurerd::Error`] (or a
 //! sensible empty verdict), and never panics.
 
-use futurerd::{record, Algorithm, Config, Cx, Store};
+use futurerd::{record, Algorithm, Config, Cx, Error, Store, Trace, TraceError};
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::trace::TraceEvent;
 use futurerd_dag::{FunctionId, StrandId};
+
+#[path = "support/fixtures.rs"]
+mod fixtures;
+use fixtures::fixture_traces;
 
 fn racy_body(cx: &mut Cx) -> u32 {
     let mut cell = futurerd::ShadowCell::new(cx, 0u32);
@@ -166,4 +170,47 @@ fn corrupted_sidecar_falls_back_to_cold_with_the_right_verdict() {
         expected.race_count()
     );
     std::fs::remove_dir_all(store.root()).ok();
+}
+
+#[test]
+fn one_shot_replay_refusals_on_the_fixture_corpus() {
+    let mut futures_fixtures = 0;
+    for (name, trace) in fixture_traces() {
+        // Every fixture without its ProgramEnd: a canonical but incomplete
+        // stream, which one-shot replay rejects at the stream's end.
+        let mut cut = Trace::new();
+        cut.extend_events(&trace.events()[..trace.len() - 1]);
+        for algorithm in [Algorithm::MultiBags, Algorithm::MultiBagsPlus] {
+            for threads in [1, 2, 8] {
+                let tag = format!("{name} {algorithm:?} P={threads}");
+                let config = Config::new().algorithm(algorithm).threads(threads);
+                match config.replay(&cut) {
+                    Err(Error::Trace(TraceError::Invariant { index, .. })) => {
+                        assert_eq!(index, cut.len(), "{tag}")
+                    }
+                    other => panic!("{tag}: expected an incomplete-stream error, got {other:?}"),
+                }
+            }
+        }
+        if !trace.has_futures() {
+            continue;
+        }
+        futures_fixtures += 1;
+        for threads in [1, 2, 8] {
+            let tag = format!("{name} P={threads}");
+            let err = Config::new()
+                .algorithm(Algorithm::SpBags)
+                .threads(threads)
+                .replay(&trace)
+                .expect_err("SP-Bags has no future moves");
+            assert!(err.is_unsupported(), "{tag}: {err}");
+            let detection = Config::new()
+                .algorithm(Algorithm::SpBagsConservative)
+                .threads(threads)
+                .replay(&trace)
+                .expect("the conservative fallback consumes futures");
+            assert!(detection.report().is_approximate(), "{tag}");
+        }
+    }
+    assert!(futures_fixtures > 0, "the corpus must hold futures traces");
 }

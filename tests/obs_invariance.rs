@@ -320,6 +320,40 @@ fn enabled_runs_record_the_documented_stages() {
 }
 
 #[test]
+fn recorded_single_thread_replay_attributes_the_single_pass() {
+    let _guard = exclusive();
+    let program = generate_shaped(FuzzShape::General, 3);
+    let (trace, _) = record_spec(&program.spec);
+    let config = Config::general();
+
+    futurerd_obs::set_enabled(true);
+    futurerd_obs::reset();
+    let detection = config.replay(&trace).expect("canonical trace");
+    let snapshot = futurerd_obs::snapshot();
+    futurerd_obs::set_enabled(false);
+
+    // Recording does not reroute a P=1 replay into the engine: the run is
+    // the paper's single pass, attributed as validate + detect.
+    for stage in ["validate", "detect"] {
+        let stats = snapshot
+            .stage(stage)
+            .unwrap_or_else(|| panic!("stage '{stage}' missing from {snapshot:?}"));
+        assert_eq!(stats.count, 1, "{stage}: one span per replay");
+    }
+    assert!(
+        snapshot.stage("freeze").is_none(),
+        "a P=1 replay must not freeze: {snapshot:?}"
+    );
+    let reach = detection.reach_stats.expect("single-pass replays meter R");
+    let detector = detection.detector_stats.expect("full detection");
+    assert_eq!(snapshot.metric("reach.queries"), Some(reach.queries));
+    assert_eq!(
+        snapshot.metric("detector.read_checks"),
+        Some(detector.read_checks)
+    );
+}
+
+#[test]
 fn disabled_recorder_stays_empty() {
     let _guard = exclusive();
     futurerd_obs::set_enabled(false);
