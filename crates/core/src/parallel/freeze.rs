@@ -1264,6 +1264,31 @@ pub(crate) fn freeze_with_accesses_assisted(
 // Incremental (resumable) freezing + raw introspection
 // ---------------------------------------------------------------------------
 
+/// The index [`IncrementalFreezer::with_index`] lends: dropping it moves
+/// the timelines back into the builders they came from.
+struct IndexLoan<'a> {
+    index: ReachIndex,
+    bags: &'a mut BagsBuilder,
+    nsp: &'a mut Option<NspBuilder>,
+}
+
+impl Drop for IndexLoan<'_> {
+    fn drop(&mut self) {
+        let lent = std::mem::replace(
+            &mut self.index.inner,
+            IndexInner::MultiBags(FrozenBags::default()),
+        );
+        let (dsp, nsp) = match lent {
+            IndexInner::MultiBags(dsp) => (dsp, None),
+            IndexInner::MultiBagsPlus { dsp, nsp } => (dsp, Some(nsp)),
+        };
+        self.bags.frozen = dsp;
+        if let (Some(builder), Some(nsp)) = (self.nsp.as_mut(), nsp) {
+            builder.frozen = nsp;
+        }
+    }
+}
+
 /// Sentinel for "absent" in the raw (serialization) view of a frozen index.
 /// Safe because trace positions, set ids and strand ids are all bounded by
 /// the trace length, which the freezing entry points cap below `u32::MAX`.
@@ -1373,9 +1398,41 @@ impl IncrementalFreezer {
         &self.freezer.accesses
     }
 
-    /// Snapshots the frozen timelines into a standalone [`ReachIndex`]
+    /// Lends the frozen timelines as a [`ReachIndex`], answering queries at
+    /// any position `≤` [`position`](Self::position), together with the
+    /// access stream, for the length of `f`: the form a report uses. The
+    /// timelines move into the index and back when `f` returns or unwinds,
+    /// so nothing is copied.
+    pub fn with_index<R>(&mut self, f: impl FnOnce(&ReachIndex, &[GranuleAccess]) -> R) -> R {
+        let Freezer {
+            bags,
+            nsp,
+            accesses,
+            ..
+        } = &mut self.freezer;
+        let inner = match nsp {
+            None => IndexInner::MultiBags(std::mem::take(&mut bags.frozen)),
+            Some(nsp) => IndexInner::MultiBagsPlus {
+                dsp: std::mem::take(&mut bags.frozen),
+                nsp: std::mem::take(&mut nsp.frozen),
+            },
+        };
+        let loan = IndexLoan {
+            index: ReachIndex {
+                algorithm: self.algorithm,
+                inner,
+            },
+            bags,
+            nsp,
+        };
+        f(&loan.index, accesses)
+    }
+
+    /// Copies the frozen timelines into a standalone [`ReachIndex`]
     /// answering queries at any position `≤` [`position`](Self::position).
-    /// The freezer remains usable for further extension.
+    /// The freezer remains usable for further extension. The copy is owned;
+    /// a report borrows the timelines in place instead
+    /// ([`with_index`](Self::with_index)).
     pub fn snapshot_index(&self) -> ReachIndex {
         let inner = match &self.freezer.nsp {
             None => IndexInner::MultiBags(self.freezer.bags.frozen.clone()),
@@ -1924,6 +1981,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lent_index_answers_as_the_snapshot_and_goes_back() {
+        let trace = future_trace();
+        let queries = [(1u32, 2u32, 7u32), (1, 3, 10), (0, 2, 7), (0, 3, 10)];
+        let answers = |index: &ReachIndex| -> Vec<bool> {
+            queries
+                .iter()
+                .map(|&(u, v, pos)| index.precedes_at(StrandId(u), StrandId(v), pos))
+                .collect()
+        };
+        for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
+            let mut full = IncrementalFreezer::new(algorithm).expect("freezable");
+            full.extend(trace.events());
+            let snapped = answers(&full.snapshot_index());
+            let lent = full.with_index(|index, accesses| {
+                assert_eq!(accesses, full_accesses(&trace, algorithm));
+                answers(index)
+            });
+            assert_eq!(lent, snapped, "{algorithm}");
+
+            for cut in [trace.len() / 2, trace.len()] {
+                let mut inc = IncrementalFreezer::new(algorithm).expect("freezable");
+                inc.extend(&trace.events()[..cut]);
+                let before = inc.to_raw();
+                inc.with_index(|index, accesses| {
+                    assert_eq!(index.algorithm(), algorithm);
+                    assert_eq!(accesses, &before.accesses[..]);
+                });
+                assert_eq!(
+                    inc.to_raw(),
+                    before,
+                    "{algorithm} cut {cut}: state came back"
+                );
+
+                // A panic inside the loan still returns the timelines.
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    inc.with_index(|_, _| panic!("report failed"))
+                }));
+                assert!(caught.is_err());
+                assert_eq!(inc.to_raw(), before, "{algorithm} cut {cut}: after unwind");
+
+                // The freezer extends on as if the loan never happened.
+                inc.extend(&trace.events()[cut..]);
+                assert_eq!(inc.to_raw(), full.to_raw(), "{algorithm} cut {cut}");
+            }
+        }
+    }
+
+    fn full_accesses(trace: &Trace, algorithm: ReplayAlgorithm) -> Vec<GranuleAccess> {
+        freeze_with_accesses(trace, algorithm).expect("freezable").1
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!    pass, [`partition_ranges`]), and let each worker scan the shared
 //!    access stream in place, feeding the accesses of its range through a
 //!    private shadow-memory partition that queries the shared frozen index
-//!    ([`run_partition`]).
+//!    ([`run_partition`]). A [`PartitionSet`] keeps the partitions between
+//!    reports on a growing stream, so each report scans only the appended
+//!    accesses.
 //! 3. **Merge** : the per-partition witnesses carry the trace position of
 //!    the access that exposed them; sorting by position rebuilds exactly the
 //!    sequential report — [`par_replay_detect`] returns a [`RaceReport`]
@@ -46,7 +48,8 @@ pub use freeze::{
 };
 pub use shard::{
     bucket_accesses, incremental_outcomes, merge_outcomes, merge_outcomes_stats, partition_ranges,
-    run_partition, IncrementalOutcomes, PartitionOutcome, ShadowPartition, REBALANCE_DRIFT_FACTOR,
+    run_partition, Advance, IncrementalOutcomes, PartitionOutcome, PartitionSet, ShadowPartition,
+    REBALANCE_DRIFT_FACTOR,
 };
 
 use crate::races::RaceReport;
@@ -187,25 +190,17 @@ pub fn par_replay_outcomes_with(
 ///
 /// One outcome per [`partition_ranges`] range, each equal to
 /// [`run_partition`] on that range: every task reads the shared stream in
-/// place, so the stream is never copied.
+/// place, so the stream is never copied. This is the first
+/// [`PartitionSet::advance`] of an empty set.
 pub fn detect_frozen_outcomes(
     index: &ReachIndex,
     accesses: &[GranuleAccess],
     threads: usize,
     executor: &impl DetectExecutor,
 ) -> Vec<PartitionOutcome> {
-    let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
-    let ranges = {
-        let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_RANGES);
-        partition_ranges(accesses, threads.max(1))
-    };
-    if let [range] = ranges.as_slice() {
-        // One range covers every access: run it inline, without the
-        // per-access ownership test.
-        let _task = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
-        return vec![shard::detect_range(index, range.clone(), accesses)];
-    }
-    shard::run_partitions(index, &ranges, accesses, executor)
+    let mut set = PartitionSet::new();
+    set.advance(index, accesses, threads, executor);
+    set.into_outcomes()
 }
 
 #[cfg(test)]

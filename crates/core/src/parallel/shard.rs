@@ -170,10 +170,40 @@ impl ShadowPartition {
         }
     }
 
+    /// Feeds a run of the access stream, in trace order, through the
+    /// partition, skipping accesses outside its range unless `whole` says
+    /// the range covers every one of them. A fresh query cursor serves the
+    /// run: the index may have grown since the last run, and a cursor only
+    /// memoizes answers of the index it was made for.
+    fn feed(&mut self, index: &ReachIndex, accesses: &[GranuleAccess], whole: bool) {
+        let mut cursor = index.cursor();
+        if whole {
+            for acc in accesses {
+                self.apply(index, &mut cursor, acc);
+            }
+        } else {
+            let range = self.range.clone();
+            for acc in accesses.iter().filter(|acc| range.contains(&acc.granule)) {
+                self.apply(index, &mut cursor, acc);
+            }
+        }
+    }
+
     /// Access-history counters accumulated so far (the partition's share of
     /// the sequential detector's [`DetectorStats`]).
     pub fn stats(&self) -> DetectorStats {
         self.history.stats()
+    }
+
+    /// The partition's result so far (range, witnesses, observation count,
+    /// access-history counters), leaving its shadow state in place.
+    fn outcome(&self) -> PartitionOutcome {
+        PartitionOutcome {
+            range: self.range.clone(),
+            witnesses: self.witnesses.clone(),
+            observations: self.observations,
+            stats: self.history.stats(),
+        }
     }
 
     /// Extracts the partition's result (range, witnesses, observation
@@ -216,60 +246,16 @@ pub struct PartitionOutcome {
 /// frozen index, sequentially, and returns the partition's outcome.
 /// `accesses` is the **full** stream; accesses outside `range` are skipped.
 ///
-/// This is the one pass-2 kernel: every engine task — cold or incremental,
-/// at any thread count — reads the shared stream in place through it.
+/// The reference for the engine's tasks: every outcome pass 2 produces —
+/// cold, resumed or rebuilt, at any thread count — equals this function on
+/// the outcome's range over the stream the outcome covers.
 pub fn run_partition(
     index: &ReachIndex,
     range: Range<u64>,
     accesses: &[GranuleAccess],
 ) -> PartitionOutcome {
-    let owned = range.clone();
-    detect_range(
-        index,
-        range,
-        accesses.iter().filter(|acc| owned.contains(&acc.granule)),
-    )
-}
-
-/// Runs [`run_partition`] for every range as one task each on `executor`
-/// and returns the outcomes in range order.
-pub(crate) fn run_partitions(
-    index: &ReachIndex,
-    ranges: &[Range<u64>],
-    accesses: &[GranuleAccess],
-    executor: &impl DetectExecutor,
-) -> Vec<PartitionOutcome> {
-    let mut slots: Vec<Option<PartitionOutcome>> = vec![None; ranges.len()];
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .zip(ranges)
-        .map(|(slot, range)| {
-            Box::new(move || {
-                let _task = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
-                *slot = Some(run_partition(index, range.clone(), accesses));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    executor.run_batch(tasks);
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("partition task ran"))
-        .collect()
-}
-
-/// The body of [`run_partition`]: replays `accesses` (in trace order, all
-/// inside `range`) through a fresh partition. A caller whose range covers
-/// the whole stream passes it unfiltered and skips the ownership test.
-pub(crate) fn detect_range<'a>(
-    index: &ReachIndex,
-    range: Range<u64>,
-    accesses: impl IntoIterator<Item = &'a GranuleAccess>,
-) -> PartitionOutcome {
     let mut partition = ShadowPartition::new(range);
-    let mut cursor = index.cursor();
-    for acc in accesses {
-        partition.apply(index, &mut cursor, acc);
-    }
+    partition.feed(index, accesses, false);
     partition.into_outcome()
 }
 
@@ -569,24 +555,16 @@ pub struct IncrementalOutcomes {
     pub rebalanced: bool,
 }
 
-/// Incremental pass 2: given the cached outcomes of a previous detection
-/// and the accesses appended since, re-runs only partitions whose granule
-/// range the suffix touched and reuses the rest verbatim. Boundary ranges
-/// are widened to absorb granules outside the old coverage.
+/// Incremental pass 2 over stored outcomes: given the cached outcomes of a
+/// previous detection and `fresh`, the accesses appended since (the tail of
+/// `accesses`), recomputes only partitions whose granule range the suffix
+/// touched and reuses the rest verbatim, re-balancing once the access
+/// histogram drifts (see [`PartitionSet::advance`]).
 ///
-/// Long append chains unbalance a partitioning that was computed for a
-/// younger trace: appends concentrated on a few granules pile work onto one
-/// partition until the P-way speedup collapses. Each call therefore checks
-/// the access histogram against the stored ranges — using the per-outcome
-/// check counters, so no pass over the full stream is needed — and once the
-/// most loaded range exceeds [`REBALANCE_DRIFT_FACTOR`] times its fair
-/// share, re-partitions from the full stream ([`partition_ranges`]) and
-/// recomputes whatever the new boundaries invalidate. Cached outcomes whose
-/// exact range survives a re-balance untouched are still reused: the merge
-/// is range-agnostic.
-///
-/// Re-runs replay their range over the **full** access stream (shadow state
-/// must be rebuilt from the beginning), in parallel on `executor`.
+/// Stored outcomes carry no shadow state, so every touched partition is
+/// rebuilt from the start of the stream; a caller that reports repeatedly
+/// keeps a [`PartitionSet`] instead, whose partitions resume. This is
+/// [`PartitionSet::advance`] over [`PartitionSet::cached`] outcomes.
 pub fn incremental_outcomes(
     index: &ReachIndex,
     accesses: &[GranuleAccess],
@@ -595,34 +573,284 @@ pub fn incremental_outcomes(
     parts: usize,
     executor: &impl DetectExecutor,
 ) -> IncrementalOutcomes {
-    let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
-    if fresh.is_empty() || stored.is_empty() {
-        let reused = stored.len();
-        return IncrementalOutcomes {
-            outcomes: stored,
-            rerun: 0,
-            reused,
-            rebalanced: false,
-        };
+    let detected = accesses.len().saturating_sub(fresh.len());
+    let mut set = PartitionSet::cached(stored, detected);
+    let step = set.advance(index, accesses, parts, executor);
+    IncrementalOutcomes {
+        outcomes: set.into_outcomes(),
+        rerun: step.rerun,
+        reused: step.reused,
+        rebalanced: step.rebalanced,
     }
-    // Widen the boundary ranges so appended granules outside the old
-    // coverage belong somewhere (widening implies the range is touched, so
-    // it is recomputed below either way).
-    let mut ranges: Vec<Range<u64>> = stored.iter().map(|o| o.range.clone()).collect();
-    let min_new = fresh.iter().map(|a| a.granule).min().expect("non-empty");
-    let max_new = fresh.iter().map(|a| a.granule).max().expect("non-empty");
-    if let Some(first) = ranges.first_mut() {
-        first.start = first.start.min(min_new);
-    }
-    if let Some(last) = ranges.last_mut() {
-        last.end = last.end.max(max_new + 1);
+}
+
+/// One pass-2 partition of a growing access stream, kept between reports.
+#[derive(Debug)]
+enum PartitionState {
+    /// Shadow state covering every access detected so far: a report that
+    /// touches the range resumes it over the appended accesses alone.
+    Resident(ShadowPartition),
+    /// An outcome without shadow state (a sidecar's): a report that touches
+    /// the range rebuilds it from the start of the stream, and it is
+    /// resident from then on.
+    Cached(PartitionOutcome),
+}
+
+impl PartitionState {
+    fn range_mut(&mut self) -> &mut Range<u64> {
+        match self {
+            PartitionState::Resident(partition) => &mut partition.range,
+            PartitionState::Cached(outcome) => &mut outcome.range,
+        }
     }
 
-    // Bin the suffix into the (widened) stored ranges once — the same pass
-    // feeds the drift check (per-range load = the accesses the cached
-    // detection processed, via its check counters, plus this suffix's
-    // share) and the touched test below.
-    let bin = |ranges: &[Range<u64>], fresh: &[GranuleAccess]| -> Vec<u64> {
+    fn range(&self) -> Range<u64> {
+        match self {
+            PartitionState::Resident(partition) => partition.range(),
+            PartitionState::Cached(outcome) => outcome.range.clone(),
+        }
+    }
+
+    /// Granule accesses processed so far: the load re-balancing steers by.
+    fn load(&self) -> u64 {
+        let stats = match self {
+            PartitionState::Resident(partition) => partition.stats(),
+            PartitionState::Cached(outcome) => outcome.stats,
+        };
+        stats.read_checks + stats.write_checks
+    }
+}
+
+/// The pass-2 partitions of a growing access stream, with the prefix of
+/// the stream they cover: the detection state a session keeps between
+/// reports, as the paper's online detector keeps its access history.
+///
+/// Pass 2 is a sequential scan per partition, so a partition that kept its
+/// shadow state ([`ShadowPartition`]) continues over appended accesses
+/// exactly as one scan of the whole stream would: resuming gives the
+/// outcome [`run_partition`] gives on the grown stream, byte for byte.
+#[derive(Debug, Default)]
+pub struct PartitionSet {
+    partitions: Vec<PartitionState>,
+    /// Leading accesses of the stream that every partition covers.
+    detected: usize,
+}
+
+/// How one [`PartitionSet::advance`] brought its partitions up to date.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Advance {
+    /// Partitions that processed accesses, because appended accesses
+    /// touched their range or a re-balance gave them a new one.
+    pub rerun: usize,
+    /// Of `rerun`, the partitions resumed from their shadow state over the
+    /// appended accesses alone; the others were rebuilt from the start of
+    /// the stream.
+    pub resumed: usize,
+    /// Partitions left as they were.
+    pub reused: usize,
+    /// True if the access histogram drifted past
+    /// [`REBALANCE_DRIFT_FACTOR`] and the partition ranges were recomputed
+    /// from the full stream.
+    pub rebalanced: bool,
+}
+
+/// What [`PartitionSet::advance`] does with one target range.
+enum Slot {
+    /// Left as it is.
+    Keep(PartitionState),
+    /// Fed the stream from the given access on.
+    Feed(ShadowPartition, usize),
+}
+
+impl PartitionSet {
+    /// An empty set: the first [`advance`](PartitionSet::advance)
+    /// partitions the stream and detects over all of it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Outcomes without shadow state (a sidecar's), covering the first
+    /// `detected` accesses of the stream.
+    pub fn cached(outcomes: Vec<PartitionOutcome>, detected: usize) -> Self {
+        Self {
+            partitions: outcomes.into_iter().map(PartitionState::Cached).collect(),
+            detected,
+        }
+    }
+
+    /// Leading accesses of the stream that the partitions cover.
+    pub fn detected(&self) -> usize {
+        self.detected
+    }
+
+    /// Brings every partition up to the end of `accesses`, the stream whose
+    /// first [`detected`](PartitionSet::detected) accesses the set already
+    /// covers, with up to `parts` partitions running on `executor`.
+    ///
+    /// An empty set partitions the stream ([`partition_ranges`]) and scans
+    /// all of it. Otherwise the first and last ranges widen to take in
+    /// granules outside the old coverage (they have no history, so a
+    /// resident partition widens in place), and then per partition:
+    ///
+    /// * untouched by the appended accesses — kept as it is;
+    /// * touched and resident — resumed over the appended accesses alone;
+    /// * touched and cached — rebuilt from the start of the stream.
+    ///
+    /// Long append chains unbalance a partitioning that was computed for a
+    /// younger stream: appends concentrated on a few granules pile work onto
+    /// one partition until the P-way speedup collapses. Each call therefore
+    /// checks the access histogram against the ranges — using the per-
+    /// partition check counters, so no pass over the full stream is needed —
+    /// and once the most loaded range exceeds [`REBALANCE_DRIFT_FACTOR`]
+    /// times its fair share, re-partitions from the full stream. A
+    /// partition whose exact range survives keeps its state; every new
+    /// range is rebuilt from the start of the stream.
+    ///
+    /// A stream shorter than the covered prefix is a different stream: the
+    /// set starts over on it.
+    pub fn advance(
+        &mut self,
+        index: &ReachIndex,
+        accesses: &[GranuleAccess],
+        parts: usize,
+        executor: &impl DetectExecutor,
+    ) -> Advance {
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
+        let parts = parts.max(1);
+        let mut old = std::mem::take(&mut self.partitions);
+        let detected = std::mem::replace(&mut self.detected, accesses.len());
+        if detected > accesses.len() {
+            old.clear();
+        }
+        let mut step = Advance::default();
+        let (target, fresh_counts) = if old.is_empty() {
+            let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_RANGES);
+            (partition_ranges(accesses, parts), None)
+        } else {
+            let fresh = &accesses[detected..];
+            let Some((min_new, max_new)) = granule_bounds(fresh) else {
+                step.reused = old.len();
+                self.partitions = old;
+                return step;
+            };
+            let (target, fresh_counts, rebalanced) =
+                retarget(&mut old, accesses, fresh, parts, (min_new, max_new));
+            step.rebalanced = rebalanced;
+            (target, Some(fresh_counts))
+        };
+
+        // A partition keeps its state iff its exact range is a target range.
+        let mut by_range: HashMap<(u64, u64), PartitionState> = old
+            .into_iter()
+            .map(|p| {
+                let range = p.range();
+                ((range.start, range.end), p)
+            })
+            .collect();
+        let mut slots: Vec<Slot> = target
+            .iter()
+            .enumerate()
+            .map(|(i, range)| {
+                let touched = fresh_counts.as_ref().is_none_or(|counts| counts[i] > 0);
+                match by_range.remove(&(range.start, range.end)) {
+                    Some(partition) if !touched => {
+                        step.reused += 1;
+                        Slot::Keep(partition)
+                    }
+                    Some(PartitionState::Resident(partition)) => {
+                        step.resumed += 1;
+                        Slot::Feed(partition, detected)
+                    }
+                    _ => Slot::Feed(ShadowPartition::new(range.clone()), 0),
+                }
+            })
+            .collect();
+        step.rerun = target.len() - step.reused;
+
+        // One range covers every access, so its task skips the ownership
+        // test. A single task runs on the calling thread.
+        let whole = target.len() == 1;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+            .iter_mut()
+            .filter_map(|slot| match slot {
+                Slot::Keep(_) => None,
+                Slot::Feed(partition, from) => {
+                    let run = &accesses[*from..];
+                    Some(Box::new(move || {
+                        let _task =
+                            futurerd_obs::Span::enter(futurerd_obs::names::DETECT_PARTITION);
+                        partition.feed(index, run, whole);
+                    }) as Box<dyn FnOnce() + Send + '_>)
+                }
+            })
+            .collect();
+        if tasks.len() > 1 {
+            executor.run_batch(tasks);
+        } else {
+            tasks.into_iter().for_each(|task| task());
+        }
+        self.partitions = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Keep(partition) => partition,
+                Slot::Feed(partition, _) => PartitionState::Resident(partition),
+            })
+            .collect();
+        step
+    }
+
+    /// The partitions' results in granule order, leaving the shadow state
+    /// in place: what a report merges and a persistent session writes to
+    /// its sidecar.
+    pub fn outcomes(&self) -> Vec<PartitionOutcome> {
+        self.partitions
+            .iter()
+            .map(|partition| match partition {
+                PartitionState::Resident(p) => p.outcome(),
+                PartitionState::Cached(o) => o.clone(),
+            })
+            .collect()
+    }
+
+    /// The partitions' results in granule order.
+    pub fn into_outcomes(self) -> Vec<PartitionOutcome> {
+        self.partitions
+            .into_iter()
+            .map(|partition| match partition {
+                PartitionState::Resident(p) => p.into_outcome(),
+                PartitionState::Cached(o) => o,
+            })
+            .collect()
+    }
+}
+
+/// The target ranges of an incremental advance: the partitions' ranges,
+/// the first and last widened in place to `min_new..=max_new`, or a fresh
+/// partitioning of the full stream once the load has drifted. Returns the
+/// targets, the appended accesses falling in each, and whether the ranges
+/// changed.
+fn retarget(
+    partitions: &mut [PartitionState],
+    accesses: &[GranuleAccess],
+    fresh: &[GranuleAccess],
+    parts: usize,
+    (min_new, max_new): (u64, u64),
+) -> (Vec<Range<u64>>, Vec<u64>, bool) {
+    if let Some(first) = partitions.first_mut() {
+        let range = first.range_mut();
+        range.start = range.start.min(min_new);
+    }
+    if let Some(last) = partitions.last_mut() {
+        let range = last.range_mut();
+        range.end = range.end.max(max_new + 1);
+    }
+    let ranges: Vec<Range<u64>> = partitions.iter().map(PartitionState::range).collect();
+
+    // Bin the appended accesses into the (widened) ranges once — the same
+    // pass feeds the drift check (per-range load = the accesses the
+    // partition processed, via its check counters, plus its share of the
+    // appended ones) and the touched test.
+    let bin = |ranges: &[Range<u64>]| -> Vec<u64> {
         let ends: Vec<u64> = ranges.iter().map(|r| r.end).collect();
         let mut counts = vec![0u64; ranges.len()];
         let last = counts.len() - 1;
@@ -632,76 +860,28 @@ pub fn incremental_outcomes(
         }
         counts
     };
-    let mut fresh_counts = bin(&ranges, fresh);
-    let total: u64 = fresh_counts
+    let fresh_counts = bin(&ranges);
+    let loads = fresh_counts
         .iter()
-        .zip(&stored)
-        .map(|(f, o)| f + o.stats.read_checks + o.stats.write_checks)
-        .sum();
-    let max_load = fresh_counts
-        .iter()
-        .zip(&stored)
-        .map(|(f, o)| f + o.stats.read_checks + o.stats.write_checks)
-        .max()
-        .unwrap_or(0);
+        .zip(partitions.iter())
+        .map(|(fresh, partition)| fresh + partition.load());
+    let (total, max_load) =
+        loads.fold((0u64, 0u64), |(sum, max), load| (sum + load, max.max(load)));
     let drifted = parts > 1
         && ranges.len() > 1
         && max_load * (ranges.len() as u64) > REBALANCE_DRIFT_FACTOR * total;
-
-    let (target, rebalanced) = if drifted {
-        let fresh_ranges = {
-            let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_RANGES);
-            partition_ranges(accesses, parts)
-        };
-        let rebalanced = fresh_ranges != ranges;
-        if rebalanced {
-            // The touched test below is per *target* range: re-bin once.
-            fresh_counts = bin(&fresh_ranges, fresh);
-        }
-        (fresh_ranges, rebalanced)
-    } else {
-        (ranges, false)
+    if !drifted {
+        return (ranges, fresh_counts, false);
+    }
+    let fresh_ranges = {
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT_RANGES);
+        partition_ranges(accesses, parts)
     };
-
-    // A cached outcome survives iff its exact range reappears in the target
-    // partitioning and the suffix did not touch it.
-    let by_range: std::collections::HashMap<(u64, u64), &PartitionOutcome> = stored
-        .iter()
-        .map(|o| ((o.range.start, o.range.end), o))
-        .collect();
-    let mut outcomes: Vec<Option<PartitionOutcome>> = target
-        .iter()
-        .zip(&fresh_counts)
-        .map(|(r, &fresh_in_range)| {
-            if fresh_in_range == 0 {
-                by_range.get(&(r.start, r.end)).map(|&o| o.clone())
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    let (rerun_slots, rerun_ranges): (Vec<usize>, Vec<Range<u64>>) = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.is_none())
-        .map(|(i, _)| (i, target[i].clone()))
-        .unzip();
-    let rerun = rerun_ranges.len();
-    let reused = target.len() - rerun;
-    let recomputed = run_partitions(index, &rerun_ranges, accesses, executor);
-    for (i, outcome) in rerun_slots.into_iter().zip(recomputed) {
-        outcomes[i] = Some(outcome);
+    if fresh_ranges == ranges {
+        return (ranges, fresh_counts, false);
     }
-    IncrementalOutcomes {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect(),
-        rerun,
-        reused,
-        rebalanced,
-    }
+    let fresh_counts = bin(&fresh_ranges);
+    (fresh_ranges, fresh_counts, true)
 }
 
 #[cfg(test)]
@@ -977,6 +1157,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts every partition of `set` equals [`run_partition`] on its
+    /// range over the freezer's whole stream.
+    fn assert_set_matches_reference(set: &PartitionSet, freezer: &IncrementalFreezer, tag: &str) {
+        let index = freezer.snapshot_index();
+        let accesses = freezer.accesses();
+        assert_eq!(set.detected(), accesses.len(), "{tag}");
+        for outcome in set.outcomes() {
+            let range = outcome.range.clone();
+            assert_eq!(
+                outcome,
+                run_partition(&index, range.clone(), accesses),
+                "{tag}: range {range:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn resumed_partitions_equal_a_scan_of_the_grown_stream() {
+        for seed in 0..4u64 {
+            let trace = racy_fork_join_trace(seed, 96);
+            let events = trace.events();
+            for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
+                for threads in [1, 2, 3] {
+                    let mut freezer = IncrementalFreezer::new(algorithm).expect("freezable");
+                    let mut set = PartitionSet::new();
+                    let mut resumed = 0;
+                    for (i, chunk) in events.chunks(events.len() / 7).enumerate() {
+                        let tag = format!("seed {seed}, {algorithm}, P={threads}, chunk {i}");
+                        let had_partitions = !set.outcomes().is_empty();
+                        freezer.extend(chunk);
+                        let step = freezer.with_index(|index, accesses| {
+                            set.advance(index, accesses, threads, &StdExecutor)
+                        });
+                        assert_eq!(step.rerun + step.reused, set.outcomes().len(), "{tag}");
+                        if had_partitions && !step.rebalanced {
+                            assert_eq!(step.resumed, step.rerun, "{tag}: {step:?}");
+                        }
+                        if !had_partitions {
+                            assert_eq!(step.resumed, 0, "{tag}");
+                        }
+                        resumed += step.resumed;
+                        assert_set_matches_reference(&set, &freezer, &tag);
+                    }
+                    assert!(resumed > 0, "seed {seed}, P={threads}: nothing resumed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_partitions_rebuild_once_then_resume() {
+        let trace = racy_fork_join_trace(7, 96);
+        let events = trace.events();
+        let (third, two_thirds) = (events.len() / 3, 2 * events.len() / 3);
+        for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
+            for threads in [1, 3] {
+                let tag = format!("{algorithm}, P={threads}");
+                let mut freezer = IncrementalFreezer::new(algorithm).expect("freezable");
+                freezer.extend(&events[..third]);
+                let stored = freezer.with_index(|index, accesses| {
+                    detect_frozen_outcomes(index, accesses, threads, &StdExecutor)
+                });
+                let mut set = PartitionSet::cached(stored, freezer.accesses().len());
+                freezer.extend(&events[third..two_thirds]);
+                let first = freezer.with_index(|index, accesses| {
+                    set.advance(index, accesses, threads, &StdExecutor)
+                });
+                assert!(first.rerun > 0 && first.resumed == 0, "{tag}: {first:?}");
+                assert_set_matches_reference(&set, &freezer, &tag);
+                freezer.extend(&events[two_thirds..]);
+                let second = freezer.with_index(|index, accesses| {
+                    set.advance(index, accesses, threads, &StdExecutor)
+                });
+                // The rebuilt partitions resume; a cached one the first
+                // append missed is rebuilt when first touched.
+                assert!(
+                    second.resumed >= first.rerun.min(second.rerun),
+                    "{tag}: {second:?}"
+                );
+                assert!(second.resumed > 0, "{tag}: {second:?}");
+                assert_set_matches_reference(&set, &freezer, &tag);
+                // With nothing appended every partition is kept.
+                let idle = freezer.with_index(|index, accesses| {
+                    set.advance(index, accesses, threads, &StdExecutor)
+                });
+                assert_eq!(
+                    idle,
+                    Advance {
+                        reused: set.outcomes().len(),
+                        ..Advance::default()
+                    },
+                    "{tag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_shorter_stream_starts_the_set_over() {
+        let trace = racy_fork_join_trace(3, 96);
+        let mut long = IncrementalFreezer::new(ReplayAlgorithm::MultiBags).expect("freezable");
+        long.extend(trace.events());
+        let mut set = PartitionSet::new();
+        long.with_index(|index, accesses| set.advance(index, accesses, 2, &StdExecutor));
+        let mut short = IncrementalFreezer::new(ReplayAlgorithm::MultiBags).expect("freezable");
+        short.extend(&trace.events()[..trace.len() / 2]);
+        let step =
+            short.with_index(|index, accesses| set.advance(index, accesses, 2, &StdExecutor));
+        assert_eq!((step.resumed, step.reused), (0, 0));
+        assert_set_matches_reference(&set, &short, "shorter stream");
     }
 
     #[test]

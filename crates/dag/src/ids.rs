@@ -87,13 +87,15 @@ impl MemAddr {
     }
 
     /// Iterates over the granules covered by an access of `size` bytes
-    /// starting at this address.
+    /// starting at this address. An access running past the end of the
+    /// address space stops at its last granule; trace validation rejects
+    /// such accesses before any detector sees them.
     pub fn granules(self, size: usize) -> impl Iterator<Item = u64> {
         let first = self.granule();
         let last = if size == 0 {
             first
         } else {
-            (self.0 + size as u64 - 1) / Self::GRANULARITY
+            self.0.saturating_add(size as u64 - 1) / Self::GRANULARITY
         };
         first..=last
     }
@@ -144,6 +146,13 @@ mod tests {
         let a = MemAddr(12);
         let g: Vec<u64> = a.granules(0).collect();
         assert_eq!(g, vec![3]);
+    }
+
+    #[test]
+    fn granules_of_an_access_past_the_address_space_end_stop_at_the_last() {
+        let a = MemAddr(u64::MAX - 1);
+        let g: Vec<u64> = a.granules(8).collect();
+        assert_eq!(g, vec![u64::MAX / MemAddr::GRANULARITY]);
     }
 
     #[test]

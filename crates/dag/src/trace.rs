@@ -1190,6 +1190,21 @@ impl PrefixValidator {
     }
 }
 
+/// An access must end inside the address space: `size` bytes at `addr`
+/// may reach `u64::MAX` but not wrap past it.
+#[inline]
+fn check_span(what: &str, addr: MemAddr, size: u32) -> Result<(), String> {
+    if size > 0 && addr.0.checked_add(u64::from(size) - 1).is_none() {
+        return Err(wrapping_access(what, addr, size));
+    }
+    Ok(())
+}
+
+#[cold]
+fn wrapping_access(what: &str, addr: MemAddr, size: u32) -> String {
+    format!("{what} of {size} bytes at {addr} runs past the end of the address space")
+}
+
 impl Validator {
     fn current(&self) -> Result<(FunctionId, StrandId), String> {
         self.current
@@ -1447,7 +1462,7 @@ impl Validator {
                 self.counts.gets += 1;
                 self.expect = Expect::Resume(ev.getter_strand, ev.parent);
             }
-            TraceEvent::Read { strand, .. } => {
+            TraceEvent::Read { strand, addr, size } => {
                 self.require_executing("Read")?;
                 let (_, cur_strand) = self.current()?;
                 if *strand != cur_strand {
@@ -1455,9 +1470,10 @@ impl Validator {
                         "Read attributed to {strand} while {cur_strand} is executing"
                     ));
                 }
+                check_span("Read", *addr, *size)?;
                 self.counts.reads += 1;
             }
-            TraceEvent::Write { strand, .. } => {
+            TraceEvent::Write { strand, addr, size } => {
                 self.require_executing("Write")?;
                 let (_, cur_strand) = self.current()?;
                 if *strand != cur_strand {
@@ -1465,6 +1481,7 @@ impl Validator {
                         "Write attributed to {strand} while {cur_strand} is executing"
                     ));
                 }
+                check_span("Write", *addr, *size)?;
                 self.counts.writes += 1;
             }
             TraceEvent::ProgramEnd { last } => {
@@ -1881,6 +1898,51 @@ mod tests {
             t.validate(),
             Err(TraceError::Invariant { index: 4, .. })
         ));
+    }
+
+    #[test]
+    fn validator_rejects_accesses_past_the_address_space_end() {
+        let head = [
+            TraceEvent::ProgramStart {
+                root: FunctionId(0),
+                first: StrandId(0),
+            },
+            TraceEvent::StrandStart {
+                strand: StrandId(0),
+                function: FunctionId(0),
+            },
+        ];
+        let strand = StrandId(0);
+        // The last byte of the address space is accessible; one byte more
+        // wraps, for reads and writes, in whole traces and in prefixes.
+        for (addr, size, wraps) in [
+            (u64::MAX, 1, false),
+            (u64::MAX - 3, 4, false),
+            (u64::MAX, 0, false),
+            (u64::MAX, 2, true),
+            (u64::MAX - 2, 4, true),
+            (1 << 63, u32::MAX, false),
+        ] {
+            let addr = MemAddr(addr);
+            for access in [
+                TraceEvent::Read { strand, addr, size },
+                TraceEvent::Write { strand, addr, size },
+            ] {
+                let mut t = Trace::new();
+                t.extend_events(&head);
+                t.push(access);
+                let mut validator = PrefixValidator::new();
+                match (validator.extend(t.events()), t.validate_prefix(), wraps) {
+                    (Ok(_), Ok(_), false) => {}
+                    (
+                        Err(TraceError::Invariant { index: 2, message }),
+                        Err(TraceError::Invariant { index: 2, .. }),
+                        true,
+                    ) => assert!(message.contains("end of the address space"), "{message}"),
+                    other => panic!("{access:?}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,11 +73,12 @@
 //! [`Config::open_session`]), [`ingest`](Session::ingest) event chunks as
 //! the observed execution grows, and ask for a [`report`](Session::report)
 //! at any point. The session validates each event exactly once, keeps the
-//! reachability freeze *resident* (appends extend it, never repeat it), and
-//! serves every report from the cheapest valid path — fully cached, touched
-//! partitions only, or cold — reporting which via [`Detection::path`]. The
-//! answer is byte-identical to replaying the whole trace from scratch, for
-//! any chunking, at any thread count:
+//! reachability freeze and the access history *resident* (appends extend
+//! them, never repeat them), and serves every report from the cheapest valid
+//! path — fully cached, touched partitions resumed over the appended
+//! accesses, or cold — reporting which via [`Detection::path`]. The answer
+//! is byte-identical to replaying the whole trace from scratch, for any
+//! chunking, at any thread count:
 //!
 //! ```
 //! use futurerd::{Config, DetectionPath};

@@ -7,9 +7,8 @@ use crate::{
     sequential_detection, summary_from_counts, Algorithm, Analysis, Config, Detection, PoolExecutor,
 };
 use futurerd_core::parallel::{
-    detect_frozen_outcomes, incremental_outcomes, merge_outcomes_stats, AssistExecutor,
-    DetectExecutor, FreezeAssist, IncrementalFreezer, IncrementalOutcomes, PartitionOutcome,
-    StdExecutor,
+    merge_outcomes_stats, Advance, AssistExecutor, DetectExecutor, FreezeAssist,
+    IncrementalFreezer, PartitionSet, StdExecutor,
 };
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::source::EventSource;
@@ -17,21 +16,20 @@ use futurerd_dag::trace::{PrefixValidator, Trace, TraceEvent};
 use futurerd_runtime::ThreadPool;
 use futurerd_store::{DetectionPath, Store};
 
-/// The engine half of a session: the resident freezer plus the cached
-/// pass-2 results it amortizes across reports.
+/// The engine half of a session: the resident freezer plus the pass-2
+/// partitions it keeps between reports.
 #[derive(Debug)]
 struct EngineState {
     freezer: IncrementalFreezer,
-    /// Cached per-partition outcomes of the last report (or the sidecar's),
-    /// covering the first `detected_accesses` granule accesses.
-    outcomes: Option<Vec<PartitionOutcome>>,
-    /// Granule accesses covered by `outcomes`.
-    detected_accesses: usize,
-    /// Stream position covered by `outcomes` (for append accounting).
+    /// The pass-2 partitions of the last report (or the sidecar's cached
+    /// outcomes), covering their first `detected()` granule accesses;
+    /// `None` before the first detection.
+    partitions: Option<PartitionSet>,
+    /// Stream position the partitions cover (for append accounting).
     detected_pos: usize,
-    /// True if the freezer was resumed from a persisted sidecar rather than
-    /// built by this session.
-    resumed: bool,
+    /// True once the resident index is not this session's fresh build: it
+    /// came from a persisted sidecar, or it already served a report.
+    warm: bool,
 }
 
 /// A long-lived, incrementally-fed detection session — one streaming API
@@ -48,10 +46,16 @@ struct EngineState {
 ///   cached per-partition outcomes merge straight into the report;
 /// * **incremental** — the session's resident freezer has already absorbed
 ///   the ingested suffix (freezing is *live*, spread over the appends,
-///   never repeated), so only detection partitions whose granule ranges
-///   the suffix touched re-run — with automatic re-partitioning once the
+///   never repeated), and the detection partitions whose granule ranges
+///   the suffix touched *resume*: each keeps its access history between
+///   reports, as the paper's online detector does, and scans only the
+///   appended accesses. Partitions loaded from a sidecar carry no history
+///   and are rebuilt once, when first touched; re-partitioning once the
 ///   access histogram drifts past
-///   [`REBALANCE_DRIFT_FACTOR`](futurerd_core::parallel::REBALANCE_DRIFT_FACTOR);
+///   [`REBALANCE_DRIFT_FACTOR`](futurerd_core::parallel::REBALANCE_DRIFT_FACTOR)
+///   rebuilds the partitions whose ranges changed. A report borrows the
+///   freezer's frozen index in place, so an append costs its own accesses
+///   plus the freeze of its own events;
 /// * **warm-index / cold** — first report of a stored (resp. fresh)
 ///   stream.
 ///
@@ -98,8 +102,9 @@ impl Config {
     /// state lives in memory and dies with the session.
     ///
     /// Full-detection MultiBags / MultiBags+ sessions keep a resident
-    /// incremental freezer, so repeated [`Session::report`] calls across
-    /// [`Session::ingest`]s never re-freeze already-seen events. Other
+    /// incremental freezer and resident pass-2 partitions, so repeated
+    /// [`Session::report`] calls across [`Session::ingest`]s never re-freeze
+    /// already-seen events nor re-detect already-seen accesses. Other
     /// algorithms and partial analyses replay sequentially per report.
     ///
     /// # Example
@@ -127,10 +132,9 @@ impl Config {
             .flatten()
             .map(|freezer| EngineState {
                 freezer,
-                outcomes: None,
-                detected_accesses: 0,
+                partitions: None,
                 detected_pos: 0,
-                resumed: false,
+                warm: false,
             });
         Session {
             config: self,
@@ -150,8 +154,11 @@ impl Config {
     /// The session resumes from the entry's `FRDIDX` sidecar when one is
     /// valid (so a re-opened session starts warm, not cold), keeps the
     /// freezer resident across [`Session::ingest`]s, and persists refreshed
-    /// state — the grown trace, the freezer, the cached outcomes — back to
-    /// the store on every [`Session::report`] that changed it. The store's
+    /// state — the grown trace, the freezer, the partition outcomes — back
+    /// to the store on every [`Session::report`] that changed it. Stored
+    /// outcomes carry no shadow state: the first report after an append
+    /// rebuilds the partitions the append touched, and later reports
+    /// resume them. The store's
     /// [`stats`](Store::stats) account the session's requests exactly like
     /// [`Store::detect`] traffic.
     ///
@@ -168,16 +175,17 @@ impl Config {
         }
         let algorithm = replay_algorithm(self.algorithm);
         let state = store.open_session_state(name, algorithm)?;
-        let resumed = state.freezer.is_some();
+        let warm = state.freezer.is_some();
         let mut freezer = match state.freezer {
             Some(freezer) => freezer,
             None => IncrementalFreezer::new(algorithm).expect("open_session_state checked"),
         };
         let frozen_pos = freezer.position() as usize;
-        let (outcomes, detected_accesses) = match state.outcomes {
-            Some(outcomes) => (Some(outcomes), freezer.accesses().len()),
-            None => (None, 0),
-        };
+        // Stored outcomes carry no shadow state: they enter as cached
+        // partitions, rebuilt once when an append first touches them.
+        let partitions = state
+            .outcomes
+            .map(|outcomes| PartitionSet::cached(outcomes, freezer.accesses().len()));
         let mut validator = PrefixValidator::new();
         validator.extend(state.trace.events())?;
         extend_freezer_pooled(
@@ -192,12 +200,11 @@ impl Config {
             trace: state.trace,
             engine: Some(EngineState {
                 freezer,
-                outcomes,
-                detected_accesses,
+                partitions,
                 // With no cached outcomes the resumed *index* still covers
                 // the frozen prefix — append accounting starts there.
                 detected_pos: frozen_pos,
-                resumed,
+                warm,
             }),
             store: Some((store, name.to_string())),
             pool: None,
@@ -341,8 +348,8 @@ impl<'s> Session<'s> {
         Ok(detection)
     }
 
-    /// The engine path: resident freezer + sharded pass 2 with cached
-    /// outcomes, routed warm-cached → incremental → warm-index/cold.
+    /// The engine path: resident freezer + sharded pass 2 over resident
+    /// partitions, routed warm-cached → incremental → warm-index/cold.
     /// Always hands the engine back, even on error.
     fn engine_report(
         &mut self,
@@ -360,54 +367,40 @@ impl<'s> Session<'s> {
 
         let accesses_len = engine.freezer.accesses().len();
         let appended_events = self.validator.position() - engine.detected_pos;
-        let (outcomes, path) = match engine.outcomes.take() {
-            Some(stored) if engine.detected_accesses == accesses_len => {
-                // Nothing detection-relevant changed since the cached
-                // outcomes were computed.
-                (stored, DetectionPath::WarmCached)
-            }
-            Some(stored) if !stored.is_empty() => {
-                let index = engine.freezer.snapshot_index();
-                let accesses = engine.freezer.accesses();
-                let fresh = &accesses[engine.detected_accesses..];
-                let IncrementalOutcomes {
-                    outcomes,
+        let first = engine.partitions.is_none();
+        let partitions = engine.partitions.get_or_insert_with(PartitionSet::new);
+        let path = if !first && partitions.detected() == accesses_len {
+            // Nothing detection-relevant changed since the partitions last
+            // advanced.
+            DetectionPath::WarmCached
+        } else {
+            // Pass 2 over the index the freezer lends in place: resident
+            // partitions resume over the appended accesses, the first
+            // detection partitions the whole stream.
+            let Advance {
+                rerun,
+                resumed,
+                reused,
+                rebalanced,
+            } = engine.freezer.with_index(|index, accesses| {
+                partitions.advance(index, accesses, threads, &executor)
+            });
+            if first && !engine.warm {
+                DetectionPath::Cold
+            } else if first && appended_events == 0 {
+                DetectionPath::WarmIndex
+            } else {
+                DetectionPath::Incremental {
+                    appended_events,
                     rerun,
                     reused,
+                    resumed,
                     rebalanced,
-                } = incremental_outcomes(&index, accesses, fresh, stored, threads, &executor);
-                (
-                    outcomes,
-                    DetectionPath::Incremental {
-                        appended_events,
-                        rerun,
-                        reused,
-                        rebalanced,
-                    },
-                )
-            }
-            _ => {
-                // First detection (or an empty cached set): run pass 2 in
-                // full over the resident freeze.
-                let index = engine.freezer.snapshot_index();
-                let outcomes =
-                    detect_frozen_outcomes(&index, engine.freezer.accesses(), threads, &executor);
-                let path = if engine.resumed && appended_events == 0 {
-                    DetectionPath::WarmIndex
-                } else if engine.resumed {
-                    DetectionPath::Incremental {
-                        appended_events,
-                        rerun: outcomes.len(),
-                        reused: 0,
-                        rebalanced: false,
-                    }
-                } else {
-                    DetectionPath::Cold
-                };
-                (outcomes, path)
+                }
             }
         };
 
+        let outcomes = partitions.outcomes();
         let (report, detector_stats) = merge_outcomes_stats(outcomes.iter().cloned());
         if let Some(started) = started {
             // The report's compute time, attributed to the path the routing
@@ -434,19 +427,17 @@ impl<'s> Session<'s> {
             store.record_path(path);
             if self.dirty || path != DetectionPath::WarmCached {
                 persist_error = store
-                    .persist_session(name, &self.trace, &engine.freezer, outcomes.clone())
+                    .persist_session(name, &self.trace, &engine.freezer, outcomes)
                     .err();
             }
             store.stats().export_metrics("store");
         }
-        // Cache the computed outcomes regardless: the in-memory state is
+        // The partitions stay resident regardless: the in-memory state is
         // valid even when writing it to disk failed, so the session keeps
         // reporting incrementally (and keeps `dirty`, so the next
         // successful report persists everything).
-        engine.outcomes = Some(outcomes);
-        engine.detected_accesses = accesses_len;
         engine.detected_pos = self.validator.position();
-        engine.resumed = true;
+        engine.warm = true;
         if let Some(error) = persist_error {
             return (engine, Err(error.into()));
         }

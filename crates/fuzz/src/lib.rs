@@ -385,8 +385,10 @@ pub fn fuzz_seed(seed: u64, opts: &FuzzOptions, store: Option<&mut Store>) -> Se
         }
     }
 
-    // Streaming sessions over random chunkings, with a mid-stream report to
-    // force the incremental path.
+    // Streaming sessions over random chunkings, reporting after every chunk
+    // so that each report resumes from the last: the final report against
+    // sequential replay of the trace, and one intermediate report against
+    // sequential replay of its prefix.
     for algorithm in ReplayAlgorithm::ALL {
         if !algorithm.runnable_for(&trace) {
             continue;
@@ -396,15 +398,34 @@ pub fn fuzz_seed(seed: u64, opts: &FuzzOptions, store: Option<&mut Store>) -> Se
             let threads = if chunking % 2 == 0 { 1 } else { 2 };
             let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(chunking) << 32) ^ 0xc09c);
             match session_report(&trace, algorithm, threads, &mut rng) {
-                Ok(report) if report == sequential => {}
-                Ok(report) => outcome.divergences.push(path_bug(
-                    seed,
-                    program.shape,
-                    algorithm,
-                    format!("session(chunking={chunking},threads={threads})"),
-                    &report,
-                    &sequential,
-                )),
+                Ok(chain) => {
+                    let mut checks = vec![(
+                        format!("session(chunking={chunking},threads={threads})"),
+                        chain.last,
+                        sequential.clone(),
+                    )];
+                    if let Some((len, report)) = chain.prefix {
+                        let mut prefix = Trace::new();
+                        prefix.extend_events(&trace.events()[..len]);
+                        checks.push((
+                            format!("session-prefix(chunking={chunking},threads={threads})"),
+                            report,
+                            replay_detect_unchecked(&prefix, algorithm),
+                        ));
+                    }
+                    for (path, got, want) in checks {
+                        if got != want {
+                            outcome.divergences.push(path_bug(
+                                seed,
+                                program.shape,
+                                algorithm,
+                                path,
+                                &got,
+                                &want,
+                            ));
+                        }
+                    }
+                }
                 Err(err) => outcome.divergences.push(Divergence {
                     seed,
                     shape: program.shape,
@@ -625,36 +646,50 @@ fn oneshot_report(
         .expect("full-analysis replays always carry a report"))
 }
 
-/// Feeds the trace into a streaming session in random chunks, forcing one
-/// mid-stream report, and returns the final report.
+/// The reports of one chained session: the last one, over the whole
+/// trace, and one intermediate one with the length of its prefix.
+struct SessionChain {
+    last: RaceReport,
+    prefix: Option<(usize, RaceReport)>,
+}
+
+/// Feeds the trace into a streaming session in random chunks with a report
+/// after every chunk, keeping the first report at or after a random cut
+/// that is not the end, and then reports once more on the whole trace.
 fn session_report(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
     threads: usize,
     rng: &mut StdRng,
-) -> Result<RaceReport, futurerd::Error> {
+) -> Result<SessionChain, futurerd::Error> {
     let events = trace.events();
     let mut session = Config::new()
         .algorithm(algorithm.into())
         .threads(threads)
         .session();
+    let report = |session: &mut futurerd::Session<'_>| -> Result<RaceReport, futurerd::Error> {
+        Ok(session
+            .report()?
+            .report
+            .expect("full-analysis sessions always carry a report"))
+    };
     let mid = rng.gen_range(0..=events.len());
-    let mut reported_mid = false;
+    let mut prefix = None;
     let mut at = 0;
     while at < events.len() {
         let max_step = (events.len() / 3).max(1).min(events.len() - at);
         let step = rng.gen_range(1..=max_step);
         session.ingest(&events[at..at + step])?;
         at += step;
-        if !reported_mid && at >= mid {
-            session.report()?;
-            reported_mid = true;
+        let report = report(&mut session)?;
+        if prefix.is_none() && at >= mid && at < events.len() {
+            prefix = Some((at, report));
         }
     }
-    let detection = session.report()?;
-    Ok(detection
-        .report
-        .expect("full-analysis sessions always carry a report"))
+    Ok(SessionChain {
+        last: report(&mut session)?,
+        prefix,
+    })
 }
 
 /// One store round-trip: put a random prefix, detect cold, append the rest,

@@ -1,11 +1,13 @@
 //! Replays the committed regression corpus in `tests/fixtures/` on every
 //! `cargo test` run: each minimized trace must keep its recorded
 //! ground-truth verdict, the differential matrix must stay free of real
-//! bugs on it, and the parallel engine must stay byte-identical to
-//! sequential replay.
+//! bugs on it, and the parallel engine, sessions and the store must stay
+//! byte-identical to sequential replay.
 
+use futurerd::{Config, Store};
 use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, StdExecutor};
 use futurerd_core::replay::{replay_detect_unchecked, ReplayAlgorithm};
+use futurerd_dag::trace::Trace;
 use futurerd_fuzz::classify_sequential;
 use futurerd_fuzz::fixture::load_fixtures;
 use futurerd_fuzz::DivergenceKind;
@@ -81,6 +83,62 @@ fn every_fixture_fuzzes_clean_and_parallel_matches_sequential() {
             assert_eq!(parallel, sequential, "{name}: {algorithm} P=2 diverged");
         }
     }
+}
+
+#[test]
+fn every_fixture_matches_sequential_through_sessions_and_the_store() {
+    let dir = std::env::temp_dir().join(format!("futurerd-corpus-store-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = Store::open(&dir).expect("store opens");
+    for fixture in load_fixtures(&corpus_dir()).expect("tests/fixtures must load") {
+        let (name, trace) = (&fixture.name, &fixture.trace);
+        let events = trace.events();
+        for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
+            let sequential = replay_detect_unchecked(trace, algorithm);
+            // A session reporting after every event: each report is the
+            // sequential verdict on its prefix, resumed from the last.
+            for threads in [1, 2] {
+                let tag = format!("{name} {algorithm} P={threads}");
+                let mut session = Config::new()
+                    .algorithm(algorithm.into())
+                    .threads(threads)
+                    .session();
+                for (at, event) in events.iter().enumerate() {
+                    session
+                        .ingest(std::slice::from_ref(event))
+                        .expect("canonical");
+                    let report = session.report().expect("prefix reports");
+                    let mut prefix = Trace::new();
+                    prefix.extend_events(&events[..=at]);
+                    assert_eq!(
+                        report.report(),
+                        &replay_detect_unchecked(&prefix, algorithm),
+                        "{tag}: prefix of {} events",
+                        at + 1
+                    );
+                }
+            }
+            // The store: cold, warm, and incremental after an append.
+            let entry = format!("{name}-{}", algorithm.name().replace('+', "p"));
+            let cut = events.len() / 2;
+            let mut prefix = Trace::new();
+            prefix.extend_events(&events[..cut]);
+            store.put_trace(&entry, &prefix).expect("stores");
+            store.detect(&entry, algorithm, 2).expect("cold prefix");
+            store
+                .append_events(&entry, &events[cut..])
+                .expect("appends");
+            let incremental = store.detect(&entry, algorithm, 2).expect("incremental");
+            let warm = store.detect(&entry, algorithm, 2).expect("warm");
+            assert_eq!(
+                incremental.report, sequential,
+                "{name} {algorithm}: incremental"
+            );
+            assert_eq!(warm.report, sequential, "{name} {algorithm}: warm");
+            assert!(warm.path.is_warm(), "{name} {algorithm}: {}", warm.path);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

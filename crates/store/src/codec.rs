@@ -467,34 +467,83 @@ fn get_outcomes(r: &mut Reader<'_>) -> Result<Vec<PartitionOutcome>, StoreError>
 // Whole-file encode/decode
 // ---------------------------------------------------------------------------
 
-/// Serializes a sidecar to bytes (header + checksummed payload).
-pub fn encode_sidecar(sidecar: &Sidecar) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(algorithm_tag(sidecar.freeze.algorithm));
-    put_varint(&mut payload, sidecar.freeze.pos.into());
-    payload.extend_from_slice(&sidecar.trace_hash.to_le_bytes());
-    put_bags(&mut payload, &sidecar.freeze.bags);
-    match &sidecar.freeze.nsp {
-        None => payload.push(0),
-        Some(nsp) => {
-            payload.push(1);
-            put_nsp(&mut payload, nsp);
-        }
-    }
-    put_accesses(&mut payload, &sidecar.freeze.accesses);
-    match &sidecar.outcomes {
-        None => payload.push(0),
-        Some(outcomes) => {
-            payload.push(1);
-            put_outcomes(&mut payload, outcomes);
-        }
-    }
+/// Header bytes before the payload: magic, version, checksum.
+const HEADER_LEN: usize = 20;
+/// The longest varint of a `u32` / a `u64`.
+const MAX_U32V: usize = 5;
+const MAX_U64V: usize = 10;
 
-    let mut bytes = Vec::with_capacity(20 + payload.len());
+/// An upper bound on the encoded size of a sidecar, from its section
+/// lengths, so that [`encode_sidecar`] allocates its buffer once.
+fn encoded_bound(sidecar: &Sidecar) -> usize {
+    let u32_slice = |len: usize| MAX_U64V + 4 * len;
+    let freeze = &sidecar.freeze;
+    let bags = &freeze.bags;
+    let mut bound = HEADER_LEN + 1 + MAX_U32V + 8;
+    bound += u32_slice(bags.set_of_strand.len())
+        + MAX_U64V
+        + 12 * bags.sets.len()
+        + u32_slice(bags.live.len())
+        + u32_slice(bags.first_strand.len());
+    bound += 1;
+    if let Some(nsp) = &freeze.nsp {
+        bound += u32_slice(nsp.set_of_strand.len()) + MAX_U64V;
+        bound += nsp
+            .sets
+            .iter()
+            .map(|set| 1 + 5 * MAX_U32V + MAX_U64V + 2 * MAX_U32V * set.att_succ.len())
+            .sum::<usize>();
+        bound += u32_slice(nsp.live.len()) + MAX_U64V;
+        bound += nsp
+            .closure_rows
+            .iter()
+            .map(|row| u32_slice(row.len()))
+            .sum::<usize>();
+    }
+    bound += MAX_U64V + 16 * freeze.accesses.len();
+    bound += 1;
+    if let Some(outcomes) = &sidecar.outcomes {
+        bound += MAX_U64V;
+        bound += outcomes
+            .iter()
+            .map(|o| {
+                4 * MAX_U64V + o.witnesses.len() * (3 * MAX_U32V + MAX_U64V + 2) + 6 * MAX_U64V
+            })
+            .sum::<usize>();
+    }
+    bound
+}
+
+/// Serializes a sidecar to bytes (header + checksummed payload) in one
+/// buffer: the header goes first with a zero checksum, the payload follows,
+/// and the checksum is patched in place once the payload is written.
+pub fn encode_sidecar(sidecar: &Sidecar) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(encoded_bound(sidecar));
     bytes.extend_from_slice(&INDEX_MAGIC);
     bytes.extend_from_slice(&INDEX_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&hash64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    debug_assert_eq!(bytes.len(), HEADER_LEN);
+    bytes.push(algorithm_tag(sidecar.freeze.algorithm));
+    put_varint(&mut bytes, sidecar.freeze.pos.into());
+    bytes.extend_from_slice(&sidecar.trace_hash.to_le_bytes());
+    put_bags(&mut bytes, &sidecar.freeze.bags);
+    match &sidecar.freeze.nsp {
+        None => bytes.push(0),
+        Some(nsp) => {
+            bytes.push(1);
+            put_nsp(&mut bytes, nsp);
+        }
+    }
+    put_accesses(&mut bytes, &sidecar.freeze.accesses);
+    match &sidecar.outcomes {
+        None => bytes.push(0),
+        Some(outcomes) => {
+            bytes.push(1);
+            put_outcomes(&mut bytes, outcomes);
+        }
+    }
+    let checksum = hash64(&bytes[HEADER_LEN..]);
+    bytes[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     bytes
 }
 
@@ -653,6 +702,57 @@ mod tests {
             assert_eq!(&bytes[..8], &INDEX_MAGIC);
             let back = decode_sidecar(&bytes).expect("decodes");
             assert_eq!(back, sidecar, "{algorithm}");
+        }
+    }
+
+    #[test]
+    fn one_buffer_encoding_is_header_then_payload_within_its_bound() {
+        let mut wide = sample_sidecar(ReplayAlgorithm::MultiBagsPlus);
+        // Widest varints everywhere the outcomes allow them.
+        if let Some(outcome) = wide.outcomes.as_mut().and_then(|o| o.first_mut()) {
+            outcome.range = u64::MAX - 1..u64::MAX;
+            outcome.observations = u64::MAX;
+            outcome.witnesses[0].0 = u32::MAX;
+            outcome.witnesses[0].1.addr = MemAddr(u64::MAX);
+            outcome.stats.races_found = u64::MAX;
+        }
+        let mut bare = sample_sidecar(ReplayAlgorithm::MultiBags);
+        bare.outcomes = None;
+        let sidecars = [
+            sample_sidecar(ReplayAlgorithm::MultiBags),
+            sample_sidecar(ReplayAlgorithm::MultiBagsPlus),
+            wide,
+            bare,
+        ];
+        for sidecar in sidecars {
+            // The payload written on its own, as a header-less encoder would.
+            let mut payload = Vec::new();
+            payload.push(algorithm_tag(sidecar.freeze.algorithm));
+            put_varint(&mut payload, sidecar.freeze.pos.into());
+            payload.extend_from_slice(&sidecar.trace_hash.to_le_bytes());
+            put_bags(&mut payload, &sidecar.freeze.bags);
+            match &sidecar.freeze.nsp {
+                None => payload.push(0),
+                Some(nsp) => {
+                    payload.push(1);
+                    put_nsp(&mut payload, nsp);
+                }
+            }
+            put_accesses(&mut payload, &sidecar.freeze.accesses);
+            match &sidecar.outcomes {
+                None => payload.push(0),
+                Some(outcomes) => {
+                    payload.push(1);
+                    put_outcomes(&mut payload, outcomes);
+                }
+            }
+            let bytes = encode_sidecar(&sidecar);
+            assert_eq!(&bytes[..8], &INDEX_MAGIC);
+            assert_eq!(&bytes[8..12], &INDEX_VERSION.to_le_bytes());
+            assert_eq!(&bytes[12..HEADER_LEN], &hash64(&payload).to_le_bytes());
+            assert_eq!(&bytes[HEADER_LEN..], &payload[..]);
+            assert!(bytes.len() <= encoded_bound(&sidecar));
+            assert_eq!(decode_sidecar(&bytes).expect("decodes"), sidecar);
         }
     }
 

@@ -246,15 +246,24 @@ pub enum DetectionPath {
     /// Loaded the frozen index *and* cached detection outcomes — no freeze,
     /// no detection, merge only.
     WarmCached,
-    /// The trace grew since the sidecar was written: refroze the appended
-    /// suffix and re-ran only the touched partitions.
+    /// The trace grew since the last detection: froze the appended suffix
+    /// and brought only the touched partitions up to date.
     Incremental {
-        /// Events appended since the sidecar's frozen position.
+        /// Events appended since the last detection (for a store request,
+        /// since the sidecar's frozen position).
         appended_events: usize,
-        /// Partitions re-run because the suffix touched their granules.
+        /// Partitions that processed accesses because the suffix touched
+        /// their granules (or a re-balance gave them a new range): resumed
+        /// or rebuilt.
         rerun: usize,
-        /// Partitions whose cached outcomes were reused verbatim.
+        /// Partitions whose outcomes were reused verbatim.
         reused: usize,
+        /// Of `rerun`, the partitions a session resumed from the shadow
+        /// state it kept since its previous report, over the appended
+        /// accesses alone; the others were rebuilt from the start of the
+        /// stream. Always `≤ rerun`, and 0 for [`Store::detect`], whose
+        /// cached outcomes carry no shadow state.
+        resumed: usize,
         /// True if the access histogram drifted past the threshold and the
         /// partition ranges were recomputed from the full stream (see
         /// [`parallel::REBALANCE_DRIFT_FACTOR`]).
@@ -292,12 +301,21 @@ impl std::fmt::Display for DetectionPath {
                 appended_events,
                 rerun,
                 reused,
+                resumed,
                 rebalanced,
-            } => write!(
-                f,
-                "incremental(+{appended_events}ev, {rerun} rerun / {reused} reused{})",
-                if *rebalanced { ", rebalanced" } else { "" }
-            ),
+            } => {
+                write!(
+                    f,
+                    "incremental(+{appended_events}ev, {rerun} rerun / {reused} reused"
+                )?;
+                if *resumed > 0 {
+                    write!(f, ", {resumed} resumed")?;
+                }
+                if *rebalanced {
+                    f.write_str(", rebalanced")?;
+                }
+                f.write_str(")")
+            }
         }
     }
 }
@@ -616,7 +634,7 @@ impl Store {
         };
 
         let (sidecar, report, path) = match freezer {
-            Some(fz) if frozen_pos == events => {
+            Some(mut fz) if frozen_pos == events => {
                 // Warm: the index covers the whole trace.
                 if let Some(outcomes) = cached_outcomes {
                     let _path_span =
@@ -626,8 +644,8 @@ impl Store {
                 } else {
                     let _path_span =
                         futurerd_obs::Span::enter(futurerd_obs::names::STORE_DETECT_WARM_INDEX);
-                    let index = fz.snapshot_index();
-                    let outcomes = full_outcomes(&index, fz.accesses(), threads);
+                    let outcomes =
+                        fz.with_index(|index, accesses| full_outcomes(index, accesses, threads));
                     let report = merge_outcomes(outcomes.iter().cloned());
                     (
                         Some(self.make_sidecar(&trace, &fz, outcomes)),
@@ -643,29 +661,29 @@ impl Store {
                 let appended_events = events - frozen_pos;
                 let old_access_count = fz.accesses().len();
                 extend_freezer(&mut fz, &trace.events()[frozen_pos..], threads);
-                let index = fz.snapshot_index();
-                let accesses = fz.accesses();
-                let fresh = &accesses[old_access_count..];
                 let IncrementalOutcomes {
                     outcomes,
                     rerun,
                     reused,
                     rebalanced,
-                } = match cached_outcomes {
-                    Some(stored) if !stored.is_empty() => {
-                        incremental_on_pool(&index, accesses, fresh, stored, threads)
-                    }
-                    _ => {
-                        let outcomes = full_outcomes(&index, accesses, threads);
-                        let rerun = outcomes.len();
-                        IncrementalOutcomes {
-                            outcomes,
-                            rerun,
-                            reused: 0,
-                            rebalanced: false,
+                } = fz.with_index(|index, accesses| {
+                    let fresh = &accesses[old_access_count..];
+                    match cached_outcomes {
+                        Some(stored) if !stored.is_empty() => {
+                            incremental_on_pool(index, accesses, fresh, stored, threads)
+                        }
+                        _ => {
+                            let outcomes = full_outcomes(index, accesses, threads);
+                            let rerun = outcomes.len();
+                            IncrementalOutcomes {
+                                outcomes,
+                                rerun,
+                                reused: 0,
+                                rebalanced: false,
+                            }
                         }
                     }
-                };
+                });
                 let report = merge_outcomes(outcomes.iter().cloned());
                 (
                     Some(self.make_sidecar(&trace, &fz, outcomes)),
@@ -674,6 +692,7 @@ impl Store {
                         appended_events,
                         rerun,
                         reused,
+                        resumed: 0,
                         rebalanced,
                     },
                 )
@@ -683,8 +702,8 @@ impl Store {
                 let _path_span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_DETECT_COLD);
                 let mut fz = IncrementalFreezer::new(algorithm).expect("freezable checked above");
                 extend_freezer(&mut fz, trace.events(), threads);
-                let index = fz.snapshot_index();
-                let outcomes = full_outcomes(&index, fz.accesses(), threads);
+                let outcomes =
+                    fz.with_index(|index, accesses| full_outcomes(index, accesses, threads));
                 let report = merge_outcomes(outcomes.iter().cloned());
                 (
                     Some(self.make_sidecar(&trace, &fz, outcomes)),
@@ -1203,6 +1222,29 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn incremental_paths_show_resumed_partitions_only_when_some_resumed() {
+        let path = |resumed, rebalanced| DetectionPath::Incremental {
+            appended_events: 12,
+            rerun: 3,
+            reused: 1,
+            resumed,
+            rebalanced,
+        };
+        assert_eq!(
+            path(0, false).to_string(),
+            "incremental(+12ev, 3 rerun / 1 reused)"
+        );
+        assert_eq!(
+            path(2, false).to_string(),
+            "incremental(+12ev, 3 rerun / 1 reused, 2 resumed)"
+        );
+        assert_eq!(
+            path(2, true).to_string(),
+            "incremental(+12ev, 3 rerun / 1 reused, 2 resumed, rebalanced)"
+        );
     }
 
     #[test]

@@ -9,8 +9,13 @@
 //! warm or incrementally (`DetectionPath` never returns to `Cold`), and a
 //! store-backed session accounts exactly one cold freeze across its whole
 //! life, reopen included.
+//!
+//! The long-horizon cases follow one execution of more than 10^5 events
+//! through a report after every chunk: every report after the first resumes
+//! the partitions the previous one left, and checkpoints along the chain
+//! match a one-chunk session on the same prefix.
 
-use futurerd::{Algorithm, Config, DetectionPath};
+use futurerd::{Algorithm, Config, Detection, DetectionPath, ShadowArray, Trace};
 use futurerd_dag::genprog::{generate_program, GenConfig};
 use futurerd_runtime::trace::record_spec;
 use rand::rngs::StdRng;
@@ -190,5 +195,253 @@ fn stored_sessions_account_one_cold_freeze_across_reopens() {
     );
     assert_eq!(stats.incremental_refreezes, 2);
     assert_eq!(stats.warm_cached_hits, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rounds of [`long_trace`]: ten events each, so the trace passes 10^5.
+const LONG_ROUNDS: usize = 10_050;
+/// Slots of the shared array [`long_trace`] touches (four shadow pages).
+const SLOTS: usize = 4 * 4096;
+/// Reports per long chain, one after every chunk.
+const LONG_CHUNKS: usize = 128;
+/// Chunks between two checkpoints of a long chain.
+const CHECKPOINT_EVERY: usize = 16;
+
+/// A seeded xorshift stream of slot indices below `SLOTS >> shift`.
+fn slot_stream(seed: u64, shift: u32) -> impl FnMut() -> usize {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 32) as usize % (SLOTS >> shift)
+    }
+}
+
+/// A long execution over one shared array. Each round spawns a child that
+/// reads one slot and writes another while the continuation does the same,
+/// then syncs; every fourth continuation reads the slot its child wrote, a
+/// race. Every 64th round also creates a future that writes a slot and is
+/// got 32 rounds later; continuations read that slot in between, races
+/// that span rounds (and chunks). The first `hot_from` rounds draw slots
+/// from the whole array, later rounds from its first 1/1024th, so the
+/// access histogram drifts there.
+fn long_trace(rounds: usize, hot_from: usize) -> Trace {
+    let recorded = futurerd::record(|cx| {
+        let mut slots = ShadowArray::new(cx, SLOTS, 0u32);
+        let mut wide = slot_stream(0x5eed_1057, 0);
+        let mut hot = slot_stream(0x0407_5107, 10);
+        let mut pending = None;
+        for round in 0..rounds {
+            let next = if round < hot_from {
+                &mut wide
+            } else {
+                &mut hot
+            };
+            let (a, b, c, d) = (next(), next(), next(), next());
+            cx.spawn(|cx| {
+                let v = slots.get(cx, a);
+                slots.set(cx, b, v + 1);
+            });
+            let v = slots.get(cx, if round % 4 == 0 { b } else { c });
+            slots.set(cx, d, v + 1);
+            cx.sync();
+            match (round % 64, pending.take()) {
+                (0, None) => {
+                    let future = cx.create_future(|cx| slots.set(cx, a, 7));
+                    pending = Some((future, a));
+                }
+                (32, Some((future, _))) => cx.get_future(future),
+                (_, Some((future, slot))) => {
+                    if round % 8 == 4 {
+                        let _ = slots.get(cx, slot);
+                    }
+                    pending = Some((future, slot));
+                }
+                (_, None) => {}
+            }
+        }
+        if let Some((future, _)) = pending {
+            cx.get_future(future);
+        }
+    });
+    recorded.trace
+}
+
+/// The report of a one-chunk session on the first `len` events.
+fn one_chunk(config: Config, trace: &Trace, len: usize) -> Detection<()> {
+    let mut session = config.session();
+    session
+        .ingest(&trace.events()[..len])
+        .expect("canonical prefix");
+    session.report().expect("prefix reports")
+}
+
+/// `(rerun, resumed, rebalanced)` of an incremental report.
+fn incremental(path: Option<DetectionPath>, tag: &str) -> (usize, usize, bool) {
+    match path {
+        Some(DetectionPath::Incremental {
+            rerun,
+            resumed,
+            rebalanced,
+            ..
+        }) => (rerun, resumed, rebalanced),
+        other => panic!("{tag}: expected an incremental report, got {other:?}"),
+    }
+}
+
+#[test]
+fn long_chains_of_resumed_reports_match_one_chunk_sessions() {
+    let trace = long_trace(LONG_ROUNDS, LONG_ROUNDS);
+    assert!(trace.len() >= 100_000, "{} events", trace.len());
+    let events = trace.events();
+    let chunk = events.len().div_ceil(LONG_CHUNKS);
+    let checkpoints: Vec<usize> = (1..=LONG_CHUNKS / CHECKPOINT_EVERY)
+        .map(|i| (i * CHECKPOINT_EVERY * chunk).min(events.len()))
+        .collect();
+    assert!(checkpoints.len() >= 8);
+    for algorithm in ALGORITHMS {
+        let reference: Vec<Detection<()>> = checkpoints
+            .iter()
+            .map(|&len| one_chunk(Config::new().algorithm(algorithm), &trace, len))
+            .collect();
+        let last = reference.last().expect("checkpoints");
+        assert!(
+            last.race_count() > 1000,
+            "{algorithm:?}: {}",
+            last.race_count()
+        );
+        for threads in THREADS {
+            let config = Config::new().algorithm(algorithm).threads(threads);
+            let mut session = config.session();
+            let mut checked = 0;
+            for (i, piece) in events.chunks(chunk).enumerate() {
+                let tag = format!("{algorithm:?} P={threads} report #{i}");
+                session.ingest(piece).expect("canonical prefix");
+                let detection = session.report().expect("prefix reports");
+                if i == 0 {
+                    assert_eq!(detection.path, Some(DetectionPath::Cold), "{tag}");
+                } else {
+                    let (rerun, resumed, rebalanced) = incremental(detection.path, &tag);
+                    assert!(!rebalanced, "{tag}: a uniform histogram does not drift");
+                    assert!(rerun > 0, "{tag}");
+                    assert_eq!(resumed, rerun, "{tag}: every touched partition resumes");
+                }
+                let Some(at) = checkpoints.iter().position(|&len| len == session.len()) else {
+                    continue;
+                };
+                let want = &reference[at];
+                assert_eq!(
+                    detection.report().to_string(),
+                    want.report().to_string(),
+                    "{tag}: diverged from a one-chunk session at {} events",
+                    session.len()
+                );
+                if threads == 1 {
+                    assert_eq!(detection.detector_stats, want.detector_stats, "{tag}");
+                }
+                checked += 1;
+            }
+            assert_eq!(checked, checkpoints.len(), "{algorithm:?} P={threads}");
+        }
+    }
+}
+
+#[test]
+fn drifting_chains_rebuild_rebalanced_partitions_mid_chain() {
+    let rounds = 2_000;
+    let trace = long_trace(rounds, rounds / 3);
+    let events = trace.events();
+    let chunk = events.len().div_ceil(40);
+    for algorithm in ALGORITHMS {
+        let config = Config::new().algorithm(algorithm).threads(4);
+        let mut session = config.session();
+        let mut rebuilt_mid_chain = 0;
+        for (i, piece) in events.chunks(chunk).enumerate() {
+            let tag = format!("{algorithm:?} report #{i}");
+            session.ingest(piece).expect("canonical prefix");
+            let detection = session.report().expect("prefix reports");
+            let mut check = i % 8 == 7 || session.is_complete();
+            if i > 0 {
+                let (rerun, resumed, rebalanced) = incremental(detection.path, &tag);
+                assert!(resumed <= rerun, "{tag}");
+                if rebalanced {
+                    // New ranges have no history to resume from.
+                    assert!(resumed < rerun, "{tag}: {:?}", detection.path);
+                    rebuilt_mid_chain += 1;
+                    check = true;
+                } else {
+                    assert_eq!(resumed, rerun, "{tag}");
+                }
+            }
+            if check {
+                let want = one_chunk(config, &trace, session.len());
+                assert_eq!(
+                    detection.report().to_string(),
+                    want.report().to_string(),
+                    "{tag}: diverged at {} events",
+                    session.len()
+                );
+            }
+        }
+        assert!(
+            rebuilt_mid_chain > 0,
+            "{algorithm:?}: the histogram never drifted"
+        );
+    }
+}
+
+#[test]
+fn reopened_stored_sessions_rebuild_once_then_resume() {
+    let trace = long_trace(3_000, 3_000);
+    let events = trace.events();
+    let dir = std::env::temp_dir().join(format!(
+        "futurerd-session-equiv-{}-resume",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = Config::store(&dir).expect("store opens");
+    let cut = events.len() / 2;
+    let mut prefix = Trace::new();
+    prefix.extend_events(&events[..cut]);
+    store.put_trace("grow", &prefix).expect("stores");
+    for algorithm in ALGORITHMS {
+        let config = Config::new().algorithm(algorithm).threads(4);
+        let mut session = config.open_session(&mut store, "grow").expect("opens");
+        session.report().expect("cold prefix");
+        drop(session);
+
+        // Reopened: the sidecar's outcomes carry no shadow state, so the
+        // first append rebuilds what it touches and later appends resume.
+        let mut session = config.open_session(&mut store, "grow").expect("reopens");
+        let appends = 4;
+        let step = (events.len() - cut).div_ceil(appends);
+        for (i, piece) in events[session.len()..].chunks(step).enumerate() {
+            let tag = format!("{algorithm:?} append #{i}");
+            session.ingest(piece).expect("canonical prefix");
+            let detection = session.report().expect("appended prefix reports");
+            let (rerun, resumed, _) = incremental(detection.path, &tag);
+            assert!(rerun > 0, "{tag}");
+            if i == 0 {
+                assert_eq!(resumed, 0, "{tag}: cached partitions are rebuilt");
+            } else {
+                assert_eq!(resumed, rerun, "{tag}: rebuilt partitions resume");
+            }
+            let want = one_chunk(config, &trace, session.len());
+            assert!(want.race_count() > 100, "{tag}: {}", want.race_count());
+            assert_eq!(
+                detection.report().to_string(),
+                want.report().to_string(),
+                "{tag}: diverged at {} events",
+                session.len()
+            );
+        }
+        assert!(session.is_complete());
+        drop(session);
+        // The next algorithm's sidecar starts from the same stored prefix.
+        store
+            .put_trace("grow", &prefix)
+            .expect("restores the prefix");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
