@@ -8,15 +8,16 @@
 //!   freezing observer): the cost a warm load avoids;
 //! * `warm_load`   — decode the sidecar + rebuild the freezer + snapshot
 //!   the index (no detection): must be **strictly cheaper** than `freeze`;
-//! * `warm_detect` — a full warm `Store::detect` round trip (load + merge
-//!   cached outcomes);
-//! * `incremental` — a full `Store::detect` after ~5% of the trace was
-//!   appended: suffix refreeze + touched-partition re-runs + sidecar
+//! * `warm_detect` — a full warm `Config::replay_stored` round trip (load +
+//!   merge cached outcomes);
+//! * `incremental` — a full `Config::replay_stored` after ~5% of the trace
+//!   was appended: suffix refreeze + touched-partition re-runs + sidecar
 //!   rewrite, vs refreezing and re-detecting everything.
 //!
 //! Scale the traces with `FUTURERD_SCALE`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use futurerd::Config;
 use futurerd_core::parallel::IncrementalFreezer;
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::genprog::{generate_program, GenConfig};
@@ -71,9 +72,10 @@ fn fig_store(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
     for (algorithm, general, seed) in cells {
         let trace = big_trace(general, seed);
+        let config = Config::new().algorithm(algorithm.into());
         let mut store = Store::open(&dir).expect("store opens");
         store.put_trace("t", &trace).expect("trace stores");
-        store.detect("t", algorithm, 1).expect("cold detect");
+        config.replay_stored(&mut store, "t").expect("cold detect");
         let sidecar_bytes =
             std::fs::read(store.sidecar_path("t", algorithm)).expect("sidecar written");
         eprintln!(
@@ -108,13 +110,12 @@ fn fig_store(c: &mut Criterion) {
         );
         group.bench_with_input(
             BenchmarkId::new(algorithm.name(), "warm_detect"),
-            &algorithm,
-            |b, &algorithm| {
+            &config,
+            |b, &config| {
                 b.iter(|| {
-                    store
-                        .detect("t", algorithm, 1)
+                    config
+                        .replay_stored(&mut store, "t")
                         .expect("warm detect")
-                        .report
                         .race_count()
                 })
             },
@@ -127,21 +128,22 @@ fn fig_store(c: &mut Criterion) {
         let mut prefix = Trace::new();
         prefix.extend_events(&trace.events()[..cut]);
         store.put_trace("t2", &prefix).expect("prefix stores");
-        store.detect("t2", algorithm, 1).expect("prefix detect");
+        config
+            .replay_stored(&mut store, "t2")
+            .expect("prefix detect");
         let prefix_sidecar =
             std::fs::read(store.sidecar_path("t2", algorithm)).expect("sidecar written");
         store.put_trace("t2", &trace).expect("full trace stores");
         let sidecar_path = store.sidecar_path("t2", algorithm);
         group.bench_with_input(
             BenchmarkId::new(algorithm.name(), "incremental"),
-            &algorithm,
-            |b, &algorithm| {
+            &config,
+            |b, &config| {
                 b.iter(|| {
                     std::fs::write(&sidecar_path, &prefix_sidecar).expect("restore sidecar");
-                    store
-                        .detect("t2", algorithm, 1)
+                    config
+                        .replay_stored(&mut store, "t2")
                         .expect("incremental detect")
-                        .report
                         .race_count()
                 })
             },

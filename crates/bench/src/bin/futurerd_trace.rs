@@ -40,7 +40,7 @@ use futurerd_core::reachability::{
 };
 use futurerd_core::replay::{replay_detect_unchecked, ApproximationError, ReplayAlgorithm};
 use futurerd_core::RaceReport;
-use futurerd_dag::trace::{Trace, TRACE_VERSION, TRACE_VERSION_V1, TRACE_VERSION_V2};
+use futurerd_dag::trace::Trace;
 use futurerd_fuzz::{run_fuzz, FuzzOptions};
 use futurerd_runtime::trace::TraceRecorder;
 use futurerd_store::{BatchJob, Store};
@@ -80,10 +80,10 @@ fn usage() -> ! {
          count). Pass 1 joins in: idle workers assist the freeze's\n\
          closure stamping, leaving a byte-identical frozen index.\n\
          batch treats <dir> as a futurerd-store detection store: every\n\
-         *.trace in it is queued against the selected freezable algorithms\n\
-         and served warm from its FRDIDX sidecar when one is valid; the\n\
-         deterministic result manifest is printed and written to\n\
-         <dir>/batch-manifest.txt.\n\
+         *.trace in it is replayed under the selected freezable algorithms,\n\
+         one stored-session report per job, served warm from its FRDIDX\n\
+         sidecar when one is valid; the deterministic result manifest is\n\
+         printed and written to <dir>/batch-manifest.txt.\n\
          follow simulates a growing execution: the workload's event stream\n\
          is fed to one long-lived detection session in --chunks appends\n\
          (default 8), re-detecting after each — the first report freezes\n\
@@ -514,24 +514,6 @@ fn cmd_record(opts: &Options) -> ExitCode {
         events = trace.len(),
     );
     println!("checksum {checksum:#x}; wrote {bytes} bytes to {out}");
-    // Report what each codec generation bought: v2 delta-encodes accesses,
-    // v3 run-length encodes constant-stride bursts (and checksums the
-    // payload).
-    let v1_bytes = trace
-        .to_bytes_versioned(TRACE_VERSION_V1)
-        .map(|b| b.len() as u64)
-        .unwrap_or(0);
-    let v2_bytes = trace
-        .to_bytes_versioned(TRACE_VERSION_V2)
-        .map(|b| b.len() as u64)
-        .unwrap_or(0);
-    if v1_bytes > 0 && v2_bytes > 0 {
-        let vs_v2 = 100.0 * (bytes as f64 / v2_bytes as f64 - 1.0);
-        let vs_v1 = 100.0 * (bytes as f64 / v1_bytes as f64 - 1.0);
-        println!(
-            "codec v{TRACE_VERSION} (run-length bursts + checksum): {bytes} bytes vs {v2_bytes} in v{TRACE_VERSION_V2} ({vs_v2:+.1}%) and {v1_bytes} in v{TRACE_VERSION_V1} ({vs_v1:+.1}%)"
-        );
-    }
     ExitCode::SUCCESS
 }
 
@@ -578,18 +560,19 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         eprintln!("no *.trace files in {dir}");
         return ExitCode::FAILURE;
     }
-    for name in &names {
-        for &algorithm in &algorithms {
-            store.submit(BatchJob {
+    let jobs: Vec<BatchJob> = names
+        .iter()
+        .flat_map(|name| {
+            algorithms.iter().map(|&algorithm| BatchJob {
                 trace: name.clone(),
                 algorithm,
                 threads: opts.threads,
-            });
-        }
-    }
+            })
+        })
+        .collect();
     let start = Instant::now();
-    let queued = store.pending_jobs();
-    let manifest = match store.run_batch() {
+    let queued = jobs.len();
+    let manifest = match futurerd::run_batch(&mut store, jobs) {
         Ok(manifest) => manifest,
         Err(e) => {
             eprintln!("batch failed: {e}");

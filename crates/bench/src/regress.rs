@@ -285,7 +285,10 @@ fn smoke_group(group: &str, samples: u32) -> Vec<BenchResult> {
             std::fs::remove_dir_all(&dir).ok();
             let mut store = Store::open(&dir).expect("store opens");
             store.put_trace("t", &trace).expect("trace stores");
-            store.detect("t", algorithm, 1).expect("cold detect");
+            futurerd::Config::new()
+                .algorithm(algorithm.into())
+                .replay_stored(&mut store, "t")
+                .expect("cold detect");
             let sidecar_bytes =
                 std::fs::read(store.sidecar_path("t", algorithm)).expect("sidecar written");
             let results = vec![

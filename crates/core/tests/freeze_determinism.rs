@@ -86,7 +86,7 @@ fn assisted_freeze_is_byte_identical_on_every_fuzz_shape() {
 fn assisted_freeze_is_byte_identical_at_production_thresholds() {
     // Default min-batch / unit-target: most arcs stay sequential, only
     // genuinely large batches dispatch — the configuration production
-    // paths (session ingest, store detect) actually run.
+    // paths (session ingest, stored-session reports) actually run.
     let executor = StdExecutor;
     for shape in [FuzzShape::General, FuzzShape::AdversarialKn] {
         let trace = shaped_trace(shape, 7);

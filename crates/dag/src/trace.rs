@@ -59,8 +59,7 @@
 //!   instead of a silent mis-decode.
 //!
 //! Version 1 (absolute fields) and version 2 streams remain fully readable;
-//! [`Trace::write_to_versioned`] still writes them for compatibility checks
-//! and size comparisons.
+//! the writer emits only the current version.
 
 use crate::events::{CreateFutureEvent, ForkInfo, GetFutureEvent, Observer, SpawnEvent, SyncEvent};
 use crate::ids::{FunctionId, MemAddr, StrandId};
@@ -75,10 +74,10 @@ pub const TRACE_MAGIC: [u8; 8] = *b"FRDTRACE";
 /// payload, on top of v2's delta encoding).
 pub const TRACE_VERSION: u32 = 3;
 /// The delta-encoded format version (no run events, no checksum); still
-/// readable and writable via [`Trace::write_to_versioned`].
+/// readable.
 pub const TRACE_VERSION_V2: u32 = 2;
-/// The original format version (absolute fields everywhere); still readable
-/// and writable via [`Trace::write_to_versioned`].
+/// The original format version (absolute fields everywhere); still
+/// readable.
 pub const TRACE_VERSION_V1: u32 = 1;
 
 /// Minimum number of accesses collapsed into one v3 run event. Shorter
@@ -387,49 +386,27 @@ impl Trace {
     /// Serializes the trace to `writer` in the current binary format
     /// ([`TRACE_VERSION`]).
     pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), TraceError> {
-        self.write_to_versioned(writer, TRACE_VERSION)
-    }
-
-    /// Serializes the trace in an explicit format version — the current
-    /// run-length + checksummed v3, the delta-encoded v2, or the legacy
-    /// absolute-field v1 (for compatibility tests and size comparisons).
-    /// Unknown versions are rejected with [`TraceError::UnsupportedVersion`].
-    pub fn write_to_versioned<W: Write>(
-        &self,
-        writer: &mut W,
-        version: u32,
-    ) -> Result<(), TraceError> {
-        if !(TRACE_VERSION_V1..=TRACE_VERSION).contains(&version) {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
         writer.write_all(&TRACE_MAGIC)?;
-        writer.write_all(&version.to_le_bytes())?;
-        let mut codec = Codec::new(version);
-        if version >= 3 {
-            // The checksum precedes the payload, so v3 buffers the encoded
-            // payload once; v1/v2 stream straight to the writer below.
-            let mut payload = Vec::new();
-            write_varint(&mut payload, self.events.len() as u64)?;
-            // Collapse maximal constant-stride access bursts into run events.
-            let mut i = 0;
-            while i < self.events.len() {
-                let run = access_run_len(&self.events, i);
-                if run >= MIN_ACCESS_RUN {
-                    encode_access_run(&mut payload, &self.events[i..i + run], &mut codec)?;
-                    i += run;
-                } else {
-                    encode_event(&mut payload, &self.events[i], &mut codec)?;
-                    i += 1;
-                }
-            }
-            writer.write_all(&fnv1a64(&payload).to_le_bytes())?;
-            writer.write_all(&payload)?;
-        } else {
-            write_varint(writer, self.events.len() as u64)?;
-            for event in &self.events {
-                encode_event(writer, event, &mut codec)?;
+        writer.write_all(&TRACE_VERSION.to_le_bytes())?;
+        // The checksum precedes the payload, so the encoded payload is
+        // buffered once.
+        let mut codec = Codec::new(TRACE_VERSION);
+        let mut payload = Vec::new();
+        write_varint(&mut payload, self.events.len() as u64)?;
+        // Collapse maximal constant-stride access bursts into run events.
+        let mut i = 0;
+        while i < self.events.len() {
+            let run = access_run_len(&self.events, i);
+            if run >= MIN_ACCESS_RUN {
+                encode_access_run(&mut payload, &self.events[i..i + run], &mut codec)?;
+                i += run;
+            } else {
+                encode_event(&mut payload, &self.events[i], &mut codec)?;
+                i += 1;
             }
         }
+        writer.write_all(&fnv1a64(&payload).to_le_bytes())?;
+        writer.write_all(&payload)?;
         Ok(())
     }
 
@@ -507,14 +484,6 @@ impl Trace {
         self.write_to(&mut buf)
             .expect("writing to a Vec cannot fail");
         buf
-    }
-
-    /// Serializes the trace to an in-memory buffer in an explicit format
-    /// version (see [`Trace::write_to_versioned`]).
-    pub fn to_bytes_versioned(&self, version: u32) -> Result<Vec<u8>, TraceError> {
-        let mut buf = Vec::new();
-        self.write_to_versioned(&mut buf, version)?;
-        Ok(buf)
     }
 
     /// Deserializes a trace from an in-memory buffer.
@@ -609,9 +578,10 @@ pub fn replay_events<O: Observer + ?Sized>(events: &[TraceEvent], observer: &mut
 // Binary codec
 // ---------------------------------------------------------------------------
 
-/// Shared encode/decode state for the delta fields of v2 streams: the
+/// Shared encode/decode state for the delta fields of v2+ streams: the
 /// previous access's strand id and byte address (both start at 0). In v1
-/// mode the codec is stateless and fields are absolute.
+/// mode the codec is stateless and fields are absolute (read only: the
+/// writer always delta-encodes).
 #[derive(Debug)]
 struct Codec {
     delta: bool,
@@ -636,19 +606,14 @@ impl Codec {
         strand: StrandId,
         addr: MemAddr,
     ) -> Result<(), TraceError> {
-        if self.delta {
-            // Wrapping deltas round-trip every value without overflow
-            // handling; zigzag keeps small negative deltas small.
-            let strand_delta = strand.0.wrapping_sub(self.prev_strand) as i32;
-            let addr_delta = addr.0.wrapping_sub(self.prev_addr) as i64;
-            write_varint(w, zigzag64(i64::from(strand_delta)))?;
-            write_varint(w, zigzag64(addr_delta))?;
-            self.prev_strand = strand.0;
-            self.prev_addr = addr.0;
-        } else {
-            write_varint(w, strand.0.into())?;
-            write_varint(w, addr.0)?;
-        }
+        // Wrapping deltas round-trip every value without overflow handling;
+        // zigzag keeps small negative deltas small.
+        let strand_delta = strand.0.wrapping_sub(self.prev_strand) as i32;
+        let addr_delta = addr.0.wrapping_sub(self.prev_addr) as i64;
+        write_varint(w, zigzag64(i64::from(strand_delta)))?;
+        write_varint(w, zigzag64(addr_delta))?;
+        self.prev_strand = strand.0;
+        self.prev_addr = addr.0;
         Ok(())
     }
 
@@ -1591,30 +1556,38 @@ mod tests {
         assert_eq!(t, back);
     }
 
+    // `fork_join_trace` and the extreme-field trace of
+    // `delta_codec_round_trips_extreme_fields`, as the retired v1 and v2
+    // writers encoded them.
+    const FORK_JOIN_V1: &[u8] = include_bytes!("../testdata/fork_join.v1.frdtrace");
+    const FORK_JOIN_V2: &[u8] = include_bytes!("../testdata/fork_join.v2.frdtrace");
+    const EXTREME_FIELDS_V1: &[u8] = include_bytes!("../testdata/extreme_fields.v1.frdtrace");
+    const EXTREME_FIELDS_V2: &[u8] = include_bytes!("../testdata/extreme_fields.v2.frdtrace");
+
     #[test]
     fn older_streams_remain_readable_and_equivalent() {
         let t = fork_join_trace();
-        let v1 = t.to_bytes_versioned(TRACE_VERSION_V1).expect("v1 encodes");
-        let v2 = t.to_bytes_versioned(TRACE_VERSION_V2).expect("v2 encodes");
-        let v3 = t.to_bytes_versioned(TRACE_VERSION).expect("v3 encodes");
-        assert_eq!(v3, t.to_bytes(), "write_to defaults to the v3 format");
-        assert_eq!(u32::from_le_bytes(v1[8..12].try_into().unwrap()), 1);
-        assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 2);
+        let v3 = t.to_bytes();
+        assert_eq!(
+            u32::from_le_bytes(FORK_JOIN_V1[8..12].try_into().unwrap()),
+            1
+        );
+        assert_eq!(
+            u32::from_le_bytes(FORK_JOIN_V2[8..12].try_into().unwrap()),
+            2
+        );
         assert_eq!(u32::from_le_bytes(v3[8..12].try_into().unwrap()), 3);
-        assert_ne!(v1, v2, "the delta encoding changes the byte stream");
-        assert_ne!(v2, v3, "the checksum header changes the byte stream");
-        for bytes in [v1, v2, v3] {
-            assert_eq!(Trace::from_bytes(&bytes).expect("decodes"), t);
+        assert_ne!(
+            FORK_JOIN_V1, FORK_JOIN_V2,
+            "the delta encoding changes the byte stream"
+        );
+        assert_ne!(
+            FORK_JOIN_V2, v3,
+            "the checksum header changes the byte stream"
+        );
+        for bytes in [FORK_JOIN_V1, FORK_JOIN_V2, &v3] {
+            assert_eq!(Trace::from_bytes(bytes).expect("decodes"), t);
         }
-    }
-
-    #[test]
-    fn writer_rejects_unknown_versions() {
-        let t = fork_join_trace();
-        assert!(matches!(
-            t.to_bytes_versioned(4),
-            Err(TraceError::UnsupportedVersion(4))
-        ));
     }
 
     #[test]
@@ -1658,12 +1631,13 @@ mod tests {
             addr: MemAddr(0x20),
             size: 2, // size change breaks the run
         });
-        let v2 = t.to_bytes_versioned(TRACE_VERSION_V2).unwrap();
-        let v3 = t.to_bytes_versioned(TRACE_VERSION).unwrap();
+        // The v2 encoding of this trace, recorded before the v2 writer was
+        // retired.
+        const V2_LEN: usize = 510;
+        let v3 = t.to_bytes();
         assert!(
-            v3.len() * 4 < v2.len(),
-            "expected ≥4× shrink from run-length encoding: v2={} v3={}",
-            v2.len(),
+            v3.len() * 4 < V2_LEN,
+            "expected ≥4× shrink from run-length encoding: v2={V2_LEN} v3={}",
             v3.len()
         );
         assert_eq!(Trace::from_bytes(&v3).expect("v3 decodes"), t);
@@ -1764,10 +1738,10 @@ mod tests {
             };
             t.push(event);
         }
-        for version in [TRACE_VERSION_V1, TRACE_VERSION_V2, TRACE_VERSION] {
-            let bytes = t.to_bytes_versioned(version).expect("encodes");
+        let v3 = t.to_bytes();
+        for (version, bytes) in [(1, EXTREME_FIELDS_V1), (2, EXTREME_FIELDS_V2), (3, &v3)] {
             assert_eq!(
-                Trace::from_bytes(&bytes).expect("decodes"),
+                Trace::from_bytes(bytes).expect("decodes"),
                 t,
                 "version {version}"
             );
@@ -1777,7 +1751,9 @@ mod tests {
     #[test]
     fn delta_encoding_shrinks_dense_access_runs() {
         // A long same-strand sequential sweep: the dominant shape of real
-        // traces. v2 should be substantially smaller than v1.
+        // traces. Its v2 encoding, recorded before the v2 writer was
+        // retired, was half the v1 encoding (80014 bytes).
+        const V2_LEN: usize = 40_018;
         let mut t = Trace::new();
         for i in 0..10_000u64 {
             t.push(TraceEvent::Read {
@@ -1786,16 +1762,10 @@ mod tests {
                 size: 4,
             });
         }
-        let v1 = t.to_bytes_versioned(TRACE_VERSION_V1).unwrap().len();
-        let v2 = t.to_bytes_versioned(TRACE_VERSION_V2).unwrap().len();
-        let v3 = t.to_bytes_versioned(TRACE_VERSION).unwrap().len();
+        let v3 = t.to_bytes().len();
         assert!(
-            v2 * 10 < v1 * 6,
-            "expected the delta encoding to shrink the stream by ≥40%: v1={v1} v2={v2}"
-        );
-        assert!(
-            v3 < v2 / 100,
-            "one run event should replace the whole sweep: v2={v2} v3={v3}"
+            v3 < V2_LEN / 100,
+            "one run event should replace the whole sweep: v2={V2_LEN} v3={v3}"
         );
     }
 
@@ -1830,8 +1800,8 @@ mod tests {
             Trace::from_bytes(&bytes),
             Err(TraceError::Checksum { .. })
         ));
-        for version in [TRACE_VERSION_V1, TRACE_VERSION_V2] {
-            let mut bytes = fork_join_trace().to_bytes_versioned(version).unwrap();
+        for (version, fixture) in [(1, FORK_JOIN_V1), (2, FORK_JOIN_V2)] {
+            let mut bytes = fixture.to_vec();
             bytes.push(0);
             assert!(
                 matches!(Trace::from_bytes(&bytes), Err(TraceError::TrailingData)),

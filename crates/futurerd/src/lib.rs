@@ -160,9 +160,7 @@ pub use futurerd_runtime::exec::{ExecutionSummary, FutureHandle};
 pub use futurerd_runtime::trace::TraceRecorder;
 pub use futurerd_runtime::{ShadowArray, ShadowCell, ShadowMatrix, ThreadPool, ThreadPoolBuilder};
 pub use futurerd_store as store;
-pub use futurerd_store::{
-    BatchJob, BatchManifest, DetectionPath, Store, StoreDetection, StoreError, StoreStats,
-};
+pub use futurerd_store::{BatchJob, BatchManifest, DetectionPath, Store, StoreError, StoreStats};
 pub use session::Session;
 
 use futurerd_core::parallel::{merge_outcomes_stats, par_replay_outcomes_with};
@@ -171,7 +169,9 @@ use futurerd_core::reachability::{
 };
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
+use futurerd_dag::trace::fnv1a64;
 use futurerd_runtime::run_program;
+use futurerd_store::{BatchRecord, BatchSummary};
 
 /// The execution context handed to program bodies run through this facade.
 ///
@@ -596,6 +596,52 @@ impl Config {
         let mut session = self.open_session(store, name)?;
         session.report()
     }
+}
+
+/// Runs a batch of stored replays and writes their manifest to
+/// [`Store::manifest_path`].
+///
+/// Jobs run in deterministic `(trace, algorithm, threads)` order, each as
+/// one report of a persistent [`Session`] ([`Config::open_session`]), so a
+/// job is served warm, incremental or cold exactly like
+/// [`Config::replay_stored`] and leaves the same sidecar behind. The
+/// manifest digests every race report; a job that fails is recorded in the
+/// manifest, not raised. Only writing the manifest can fail the batch.
+pub fn run_batch(store: &mut Store, mut jobs: Vec<BatchJob>) -> Result<BatchManifest, Error> {
+    jobs.sort_by_cached_key(|job| (job.trace.clone(), job.algorithm.name(), job.threads));
+    let records = jobs
+        .into_iter()
+        .map(|job| {
+            let outcome = batch_job(store, &job).map_err(|e| match e {
+                // The manifest names the store's refusal, not the facade's
+                // wrapping of it.
+                Error::Store(e) => e.to_string(),
+                e => e.to_string(),
+            });
+            BatchRecord { job, outcome }
+        })
+        .collect();
+    let manifest = BatchManifest { records };
+    std::fs::write(store.manifest_path(), manifest.to_string()).map_err(StoreError::Io)?;
+    Ok(manifest)
+}
+
+/// One batch job: a single report of a persistent session on the job's
+/// trace.
+fn batch_job(store: &mut Store, job: &BatchJob) -> Result<BatchSummary, Error> {
+    let mut session = Config::new()
+        .algorithm(job.algorithm.into())
+        .threads(job.threads)
+        .open_session(store, &job.trace)?;
+    let detection = session.report()?;
+    let report = detection.report();
+    Ok(BatchSummary {
+        path: detection.path.unwrap_or(DetectionPath::Cold),
+        races: report.race_count(),
+        observations: report.total_observations(),
+        events: session.len(),
+        digest: fnv1a64(report.to_string().as_bytes()),
+    })
 }
 
 /// The paper's single pass: replays the (already validated) events once

@@ -42,7 +42,7 @@ struct EngineState {
 /// report is served from the cheapest valid path and says which one it
 /// took ([`Session::last_path`], [`Detection::path`]):
 ///
-/// * **warm-cached** — nothing relevant changed since the last report: the
+/// * **warm-cached** — nothing was appended since the last report: the
 ///   cached per-partition outcomes merge straight into the report;
 /// * **incremental** — the session's resident freezer has already absorbed
 ///   the ingested suffix (freezing is *live*, spread over the appends,
@@ -154,13 +154,12 @@ impl Config {
     /// The session resumes from the entry's `FRDIDX` sidecar when one is
     /// valid (so a re-opened session starts warm, not cold), keeps the
     /// freezer resident across [`Session::ingest`]s, and persists refreshed
-    /// state — the grown trace, the freezer, the partition outcomes — back
-    /// to the store on every [`Session::report`] that changed it. Stored
-    /// outcomes carry no shadow state: the first report after an append
-    /// rebuilds the partitions the append touched, and later reports
-    /// resume them. The store's
-    /// [`stats`](Store::stats) account the session's requests exactly like
-    /// [`Store::detect`] traffic.
+    /// state back to the store on every [`Session::report`] that changed
+    /// it: the freezer and the partition outcomes, plus the trace when the
+    /// session ingested events. Stored outcomes carry no shadow state: the
+    /// first report after an append rebuilds the partitions the append
+    /// touched, and later reports resume them. The store's
+    /// [`stats`](Store::stats) account every report the session serves.
     ///
     /// Persistent sessions are full-detection only and need a freezable
     /// algorithm: partial analyses return [`Error::Unsupported`] and the
@@ -365,18 +364,18 @@ impl<'s> Session<'s> {
             (None, None) => AnyExec::Std(StdExecutor),
         };
 
-        let accesses_len = engine.freezer.accesses().len();
         let appended_events = self.validator.position() - engine.detected_pos;
         let first = engine.partitions.is_none();
         let partitions = engine.partitions.get_or_insert_with(PartitionSet::new);
-        let path = if !first && partitions.detected() == accesses_len {
-            // Nothing detection-relevant changed since the partitions last
-            // advanced.
+        let path = if !first && appended_events == 0 {
+            // Nothing was appended since the partitions last advanced.
             DetectionPath::WarmCached
         } else {
             // Pass 2 over the index the freezer lends in place: resident
             // partitions resume over the appended accesses, the first
-            // detection partitions the whole stream.
+            // detection partitions the whole stream. An append without
+            // accesses reruns nothing but is still incremental, so a stored
+            // session persists the freezer that absorbed it.
             let Advance {
                 rerun,
                 resumed,
@@ -427,7 +426,7 @@ impl<'s> Session<'s> {
             store.record_path(path);
             if self.dirty || path != DetectionPath::WarmCached {
                 persist_error = store
-                    .persist_session(name, &self.trace, &engine.freezer, outcomes)
+                    .persist_session(name, &self.trace, self.dirty, &engine.freezer, outcomes)
                     .err();
             }
             store.stats().export_metrics("store");

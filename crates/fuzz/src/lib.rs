@@ -27,9 +27,10 @@
 //!   scheduling bug;
 //! * streaming [`Session`](futurerd::Session)s over random chunkings of the
 //!   same events, with a mid-stream report to force the incremental path;
-//! * persistent store round-trips: put a prefix, detect, append the rest,
-//!   re-detect (incremental), re-detect again (warm cache) — all three must
-//!   agree with cold sequential replay.
+//! * persistent store round-trips through stored sessions
+//!   ([`Config::replay_stored`]): put a prefix, detect, append the rest,
+//!   re-detect (incremental), re-detect again (warm cache) — the last two
+//!   must agree with cold sequential replay.
 //!
 //! When a real bug is found, [`shrink`] minimizes the failing trace by
 //! spec-level strand pruning plus event-range bisection — re-validating the
@@ -47,7 +48,7 @@
 pub mod fixture;
 pub mod shrink;
 
-use futurerd::Config;
+use futurerd::{Config, Store};
 use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, StdExecutor};
 use futurerd_core::races::{AccessKind, Race, RaceReport};
 use futurerd_core::replay::{replay_detect_unchecked, ApproximationError, ReplayAlgorithm};
@@ -55,7 +56,6 @@ use futurerd_dag::genprog::{Action, FunctionSpec, ProgramSpec};
 use futurerd_dag::trace::{Trace, TraceEvent};
 use futurerd_dag::{MemAddr, StrandId};
 use futurerd_runtime::trace::record_spec;
-use futurerd_store::Store;
 use futurerd_workloads::fuzzgen::{generate_fuzz_program, FuzzProgram, FuzzShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -692,34 +692,39 @@ fn session_report(
     })
 }
 
-/// One store round-trip: put a random prefix, detect cold, append the rest,
-/// detect incrementally, detect again warm. Returns the reports of the
-/// final-state paths that must match sequential replay.
+/// One store round-trip through stored sessions: put a random prefix,
+/// detect cold, append the rest, detect incrementally, detect again warm.
+/// Returns the reports of the final-state paths that must match sequential
+/// replay.
 fn store_roundtrip(
     store: &mut Store,
     name: &str,
     trace: &Trace,
     algorithm: ReplayAlgorithm,
     rng: &mut StdRng,
-) -> Result<Vec<(String, RaceReport)>, futurerd_store::StoreError> {
+) -> Result<Vec<(String, RaceReport)>, futurerd::Error> {
     let sequential = replay_detect_unchecked(trace, algorithm);
+    let config = Config::new().algorithm(algorithm.into()).threads(2);
     let events = trace.events();
     let split = rng.gen_range(1..events.len());
     let mut prefix = Trace::new();
     prefix.extend_events(&events[..split]);
     store.put_trace(name, &prefix)?;
     // The cold prefix verdict is not compared (the prefix is a different
-    // stream); it exists to leave a sidecar the append invalidates.
-    store.detect(name, algorithm, 2)?;
+    // stream); it exists to leave a sidecar the append outgrows.
+    config.replay_stored(store, name)?;
     store.append_events(name, &events[split..])?;
-    let incremental = store.detect(name, algorithm, 2)?;
-    let warm = store.detect(name, algorithm, 2)?;
+    let incremental = config.replay_stored(store, name)?;
+    let warm = config.replay_stored(store, name)?;
     let mut mismatches = Vec::new();
-    if incremental.report != sequential {
-        mismatches.push((format!("store({})", incremental.path), incremental.report));
-    }
-    if warm.report != sequential {
-        mismatches.push((format!("store({})", warm.path), warm.report));
+    for detection in [incremental, warm] {
+        let path = detection.path.unwrap_or(futurerd::DetectionPath::Cold);
+        let report = detection
+            .report
+            .expect("full-analysis sessions always carry a report");
+        if report != sequential {
+            mismatches.push((format!("store({path})"), report));
+        }
     }
     Ok(mismatches)
 }

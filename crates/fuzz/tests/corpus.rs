@@ -118,24 +118,32 @@ fn every_fixture_matches_sequential_through_sessions_and_the_store() {
                     );
                 }
             }
-            // The store: cold, warm, and incremental after an append.
+            // The store, through stored sessions: cold, warm, and
+            // incremental after an append.
+            let stored = Config::new().algorithm(algorithm.into()).threads(2);
             let entry = format!("{name}-{}", algorithm.name().replace('+', "p"));
             let cut = events.len() / 2;
             let mut prefix = Trace::new();
             prefix.extend_events(&events[..cut]);
             store.put_trace(&entry, &prefix).expect("stores");
-            store.detect(&entry, algorithm, 2).expect("cold prefix");
+            stored
+                .replay_stored(&mut store, &entry)
+                .expect("cold prefix");
             store
                 .append_events(&entry, &events[cut..])
                 .expect("appends");
-            let incremental = store.detect(&entry, algorithm, 2).expect("incremental");
-            let warm = store.detect(&entry, algorithm, 2).expect("warm");
+            let incremental = stored
+                .replay_stored(&mut store, &entry)
+                .expect("incremental");
+            let warm = stored.replay_stored(&mut store, &entry).expect("warm");
             assert_eq!(
-                incremental.report, sequential,
+                incremental.report(),
+                &sequential,
                 "{name} {algorithm}: incremental"
             );
-            assert_eq!(warm.report, sequential, "{name} {algorithm}: warm");
-            assert!(warm.path.is_warm(), "{name} {algorithm}: {}", warm.path);
+            assert_eq!(warm.report(), &sequential, "{name} {algorithm}: warm");
+            let path = warm.path.expect("stored reports carry their path");
+            assert!(path.is_warm(), "{name} {algorithm}: {path}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

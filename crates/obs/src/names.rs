@@ -35,14 +35,6 @@ pub const FREEZE_ASSIST_DISPATCH: &str = "freeze.assist.dispatch";
 /// Worker-side pull loop over one stamping batch.
 pub const FREEZE_ASSIST_STAMP: &str = "freeze.assist.stamp";
 
-/// Store-level detection, cold path.
-pub const STORE_DETECT_COLD: &str = "store.detect.cold";
-/// Store-level detection against a warm loaded index.
-pub const STORE_DETECT_WARM_INDEX: &str = "store.detect.warm_index";
-/// Store-level detection fully served by the cache.
-pub const STORE_DETECT_WARM_CACHED: &str = "store.detect.warm_cached";
-/// Store-level incremental re-detection.
-pub const STORE_DETECT_INCREMENTAL: &str = "store.detect.incremental";
 /// Sidecar serialization.
 pub const STORE_SIDECAR_ENCODE: &str = "store.sidecar.encode";
 /// Sidecar deserialization.
@@ -92,10 +84,6 @@ pub const MANIFEST: &[&str] = &[
     DETECT_RANGES,
     FREEZE_ASSIST_DISPATCH,
     FREEZE_ASSIST_STAMP,
-    STORE_DETECT_COLD,
-    STORE_DETECT_WARM_INDEX,
-    STORE_DETECT_WARM_CACHED,
-    STORE_DETECT_INCREMENTAL,
     STORE_SIDECAR_ENCODE,
     STORE_SIDECAR_DECODE,
     SESSION_REPORT_COLD,

@@ -215,8 +215,8 @@ fn algorithm_tag(algorithm: ReplayAlgorithm) -> u8 {
     match algorithm {
         ReplayAlgorithm::MultiBags => 0,
         ReplayAlgorithm::MultiBagsPlus => 1,
-        // The store only freezes freezable algorithms; this is enforced at
-        // Store::detect entry.
+        // Only freezable algorithms have a frozen form
+        // (`IncrementalFreezer::new` refuses the rest).
         _ => unreachable!("only freezable algorithms are persisted"),
     }
 }

@@ -1,45 +1,42 @@
 //! # futurerd-store — the persistent detection store
 //!
-//! Recording once and detecting many times (the trace pipeline) still pays
-//! the **freeze** — pass 1 of the parallel engine — on every replay, and a
-//! single appended event invalidates everything. This crate makes detection
-//! state *persistent, versioned and incremental*:
+//! Recording once and detecting many times still pays the **freeze** —
+//! pass 1 of the parallel engine — on every replay. This crate keeps the
+//! bytes that let a later request skip it:
 //!
-//! * **`FRDIDX` sidecars** ([`codec`]): the frozen [`ReachIndex`] timelines,
-//!   the granule access stream, the freeze *resume state* and the cached
+//! * **traces** ([`Store::put_trace`], [`Store::append_events`],
+//!   [`Store::load_trace`]): `<name>.trace` holds a recorded, possibly still
+//!   growing event stream, validated as a canonical prefix on every write;
+//! * **`FRDIDX` sidecars** ([`codec`]): the frozen
+//!   [`ReachIndex`](futurerd_core::parallel::ReachIndex) timelines, the
+//!   granule access stream, the freeze *resume state* and the cached
 //!   per-partition detection outcomes serialize to a checksummed LEB128
-//!   sidecar next to each trace. A multi-replay workload pays the freeze
-//!   once ("cold"), then every later replay loads it ("warm") — and a warm
-//!   report is byte-identical to a cold one at any thread count.
-//! * **Incremental re-detection** ([`Store::detect`] after
-//!   [`Store::append_events`]): the frozen timelines are append-only, so
-//!   extending a stored trace refreezes only what the appended suffix
-//!   touches (the freezer resumes from its persisted state) and re-runs only
-//!   the detection partitions whose granule ranges the suffix accessed;
-//!   untouched partitions reuse their cached outcomes verbatim. The merged
-//!   report is byte-identical to full from-scratch detection on the
-//!   extended trace.
-//! * **Batch replay service** ([`Store::submit`] / [`Store::run_batch`]):
-//!   queued `(trace, algorithm, threads)` jobs run in a deterministic order
-//!   over process-shared worker pools (`ThreadPool::shared`), producing a
-//!   [`BatchManifest`] whose rendering — including a digest of every race
-//!   report — is reproducible run-to-run. The `futurerd-trace batch` CLI is
-//!   a thin wrapper over this service.
+//!   sidecar per trace and algorithm. [`Store::open_session_state`] loads
+//!   and binds one, [`Store::persist_session`] writes one back;
+//! * **accounting** ([`Store::record_path`], [`StoreStats`]): how the
+//!   requests on this store were served;
+//! * **the batch manifest** ([`BatchManifest`], written to
+//!   [`Store::manifest_path`]).
+//!
+//! The store detects nothing itself. The `futurerd` facade's persistent
+//! session (`Config::open_session`, `Config::replay_stored`) routes every
+//! stored request, and `futurerd::run_batch` serves each batch job as one
+//! such session.
 //!
 //! ## Invalidation rules
 //!
 //! A sidecar binds to its trace by a hash of the event prefix it was frozen
-//! from. On [`Store::detect`]:
+//! from. [`Store::open_session_state`] hands a session:
 //!
-//! * hash matches and the frozen position equals the trace length → **warm**
-//!   (reuse everything);
-//! * hash matches a strict prefix → **incremental** (refreeze the suffix,
-//!   re-run touched partitions);
-//! * anything else (rewritten trace, different algorithm, corrupt or
-//!   truncated sidecar) → **cold** (refreeze from scratch, rewrite the
-//!   sidecar).
+//! * the frozen state and cached outcomes when the hash matches the whole
+//!   trace (the session reports **warm**) or a strict prefix of it (the
+//!   session refreezes the suffix and reports **incremental**);
+//! * no frozen state otherwise — a rewritten trace, a different algorithm,
+//!   a corrupt or truncated sidecar — so the session freezes from scratch
+//!   (**cold**) and rewrites the sidecar.
 //!
 //! ```
+//! use futurerd_core::parallel::{detect_frozen_outcomes, IncrementalFreezer, StdExecutor};
 //! use futurerd_core::replay::ReplayAlgorithm;
 //! use futurerd_store::Store;
 //!
@@ -55,11 +52,23 @@
 //! # }
 //! let dir = std::env::temp_dir().join(format!("frd-doc-{}", std::process::id()));
 //! let mut store = Store::open(&dir).unwrap();
-//! store.put_trace("example", &trace()).unwrap();
-//! let cold = store.detect("example", ReplayAlgorithm::MultiBags, 2).unwrap();
-//! let warm = store.detect("example", ReplayAlgorithm::MultiBags, 2).unwrap();
-//! assert_eq!(warm.report, cold.report);
-//! assert!(warm.path.is_warm() && !cold.path.is_warm());
+//! let trace = trace();
+//! store.put_trace("example", &trace).unwrap();
+//! let algorithm = ReplayAlgorithm::MultiBags;
+//! // No sidecar yet: a session on this entry starts cold.
+//! assert!(store.open_session_state("example", algorithm).unwrap().freezer.is_none());
+//!
+//! // Persist what a session's first report leaves behind...
+//! let mut freezer = IncrementalFreezer::new(algorithm).unwrap();
+//! freezer.extend(trace.events());
+//! let outcomes = freezer
+//!     .with_index(|index, accesses| detect_frozen_outcomes(index, accesses, 1, &StdExecutor));
+//! store.persist_session("example", &trace, false, &freezer, outcomes).unwrap();
+//!
+//! // ...and the next open resumes from it.
+//! let state = store.open_session_state("example", algorithm).unwrap();
+//! assert_eq!(state.freezer.unwrap().position() as usize, trace.len());
+//! assert!(state.outcomes.is_some());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
@@ -68,14 +77,9 @@
 
 pub mod codec;
 
-use futurerd_core::parallel::{
-    self, merge_outcomes, GranuleAccess, IncrementalFreezer, IncrementalOutcomes, PartitionOutcome,
-    ReachIndex, StdExecutor,
-};
+use futurerd_core::parallel::{IncrementalFreezer, PartitionOutcome};
 use futurerd_core::replay::ReplayAlgorithm;
-use futurerd_core::RaceReport;
-use futurerd_dag::trace::{fnv1a64, Trace, TraceCounts, TraceError, TraceEvent};
-use futurerd_runtime::ThreadPool;
+use futurerd_dag::trace::{Trace, TraceCounts, TraceError, TraceEvent};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -170,8 +174,8 @@ impl From<TraceError> for StoreError {
 
 /// Hashes an event prefix (a word-folded FNV-style hash over a canonical
 /// field rendering, no allocation) — the binding between a sidecar and the
-/// trace it was frozen from. Runs on every [`Store::detect`], so it must be
-/// a small fraction of the detection it guards.
+/// trace it was frozen from. Runs on every sidecar load and write, so it
+/// must be a small fraction of the detection it guards.
 pub fn hash_events(events: &[TraceEvent]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ (events.len() as u64);
@@ -235,22 +239,24 @@ pub fn hash_events(events: &[TraceEvent]) -> u64 {
     hash
 }
 
-/// How [`Store::detect`] served a request.
+/// How a detection request was served (recorded in the store's
+/// [`StoreStats`] for stored requests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionPath {
-    /// No usable sidecar: froze from scratch and ran full detection.
+    /// No usable frozen state: froze from scratch and ran full detection.
     Cold,
     /// Loaded the frozen index from the sidecar but had to run detection
     /// (no cached outcomes).
     WarmIndex,
-    /// Loaded the frozen index *and* cached detection outcomes — no freeze,
-    /// no detection, merge only.
+    /// Nothing was appended since the detection partitions last advanced
+    /// (or since the sidecar was frozen): the cached outcomes merge
+    /// straight into the report — no freeze, no detection.
     WarmCached,
     /// The trace grew since the last detection: froze the appended suffix
     /// and brought only the touched partitions up to date.
     Incremental {
-        /// Events appended since the last detection (for a store request,
-        /// since the sidecar's frozen position).
+        /// Events appended since the last detection (for the first report
+        /// of a stored session, since the sidecar's frozen position).
         appended_events: usize,
         /// Partitions that processed accesses because the suffix touched
         /// their granules (or a re-balance gave them a new range): resumed
@@ -261,12 +267,12 @@ pub enum DetectionPath {
         /// Of `rerun`, the partitions a session resumed from the shadow
         /// state it kept since its previous report, over the appended
         /// accesses alone; the others were rebuilt from the start of the
-        /// stream. Always `≤ rerun`, and 0 for [`Store::detect`], whose
-        /// cached outcomes carry no shadow state.
+        /// stream. Always `≤ rerun`, and 0 on the first report of a stored
+        /// session, whose cached outcomes carry no shadow state.
         resumed: usize,
         /// True if the access histogram drifted past the threshold and the
         /// partition ranges were recomputed from the full stream (see
-        /// [`parallel::REBALANCE_DRIFT_FACTOR`]).
+        /// [`futurerd_core::parallel::REBALANCE_DRIFT_FACTOR`]).
         rebalanced: bool,
     },
 }
@@ -318,22 +324,6 @@ impl std::fmt::Display for DetectionPath {
             }
         }
     }
-}
-
-/// The result of one [`Store::detect`] request.
-#[derive(Debug, Clone)]
-pub struct StoreDetection {
-    /// The race report — byte-identical to cold full detection of the same
-    /// trace, whatever path produced it.
-    pub report: RaceReport,
-    /// Per-construct totals of the (possibly still growing) trace.
-    pub counts: TraceCounts,
-    /// True if the trace has reached its `ProgramEnd`.
-    pub complete: bool,
-    /// Number of events in the trace.
-    pub events: usize,
-    /// How the request was served.
-    pub path: DetectionPath,
 }
 
 /// Work counters accumulated by a [`Store`] — the cold/warm/incremental
@@ -388,7 +378,7 @@ impl StoreStats {
     }
 }
 
-/// One queued batch job: replay `trace` under `algorithm` with `threads`
+/// One batch job: replay `trace` under `algorithm` with `threads`
 /// detection workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchJob {
@@ -403,7 +393,7 @@ pub struct BatchJob {
 /// The summary of one completed batch job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchSummary {
-    /// How the store served the job.
+    /// How the job's session served its report.
     pub path: DetectionPath,
     /// Distinct racy granules.
     pub races: usize,
@@ -425,10 +415,10 @@ pub struct BatchRecord {
     pub outcome: Result<BatchSummary, String>,
 }
 
-/// The deterministic result manifest of one [`Store::run_batch`] run: jobs
-/// sorted by `(trace, algorithm, threads)`, each with its report digest.
+/// The deterministic result manifest of one batch run (`futurerd::run_batch`):
+/// jobs sorted by `(trace, algorithm, threads)`, each with its report digest.
 /// Rendered with [`std::fmt::Display`] and written to
-/// `batch-manifest.txt` inside the store.
+/// [`Store::manifest_path`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchManifest {
     /// One record per job, in manifest order.
@@ -502,7 +492,6 @@ impl std::fmt::Display for BatchManifest {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    queue: Vec<BatchJob>,
     stats: StoreStats,
 }
 
@@ -513,7 +502,6 @@ impl Store {
         std::fs::create_dir_all(&root)?;
         Ok(Self {
             root,
-            queue: Vec::new(),
             stats: StoreStats::default(),
         })
     }
@@ -547,6 +535,11 @@ impl Store {
     /// Path of the named trace's sidecar for `algorithm`.
     pub fn sidecar_path(&self, name: &str, algorithm: ReplayAlgorithm) -> PathBuf {
         self.root.join(format!("{name}.{algorithm}.frdidx"))
+    }
+
+    /// Path of the last batch run's [`BatchManifest`].
+    pub fn manifest_path(&self) -> PathBuf {
+        self.root.join("batch-manifest.txt")
     }
 
     /// Names of every stored trace, sorted.
@@ -589,8 +582,8 @@ impl Store {
 
     /// Appends events to a stored trace, validating the extended stream as a
     /// canonical prefix. The trace file is rewritten; its sidecars are *not*
-    /// touched — the next [`Store::detect`] notices the grown trace and
-    /// takes the incremental path.
+    /// touched — the next session opened on the entry notices the grown
+    /// trace and takes the incremental path.
     pub fn append_events(
         &mut self,
         name: &str,
@@ -601,179 +594,6 @@ impl Store {
         let prefix = trace.validate_prefix()?;
         trace.save(self.trace_path(name))?;
         Ok(prefix)
-    }
-
-    /// Detects races on the named trace under `algorithm` with `threads`
-    /// workers, serving the request from the cheapest valid path (warm →
-    /// incremental → cold; see the module docs for the invalidation rules)
-    /// and persisting the refreshed sidecar.
-    ///
-    /// The returned report is byte-identical to cold full detection of the
-    /// current trace — the path only changes the cost, never the answer.
-    pub fn detect(
-        &mut self,
-        name: &str,
-        algorithm: ReplayAlgorithm,
-        threads: usize,
-    ) -> Result<StoreDetection, StoreError> {
-        if !algorithm.freezable() {
-            return Err(StoreError::Unfreezable(algorithm));
-        }
-        let threads = threads.max(1);
-        let trace = self.load_trace(name)?;
-        let (counts, complete) = trace.validate_prefix()?;
-        let events = trace.len();
-
-        let loaded = self.load_sidecar(name, algorithm, &trace);
-        let (freezer, cached_outcomes, frozen_pos) = match loaded {
-            Some((freezer, outcomes)) => {
-                let pos = freezer.position() as usize;
-                (Some(freezer), outcomes, pos)
-            }
-            None => (None, None, 0),
-        };
-
-        let (sidecar, report, path) = match freezer {
-            Some(mut fz) if frozen_pos == events => {
-                // Warm: the index covers the whole trace.
-                if let Some(outcomes) = cached_outcomes {
-                    let _path_span =
-                        futurerd_obs::Span::enter(futurerd_obs::names::STORE_DETECT_WARM_CACHED);
-                    let report = merge_outcomes(outcomes.iter().cloned());
-                    (None, report, DetectionPath::WarmCached)
-                } else {
-                    let _path_span =
-                        futurerd_obs::Span::enter(futurerd_obs::names::STORE_DETECT_WARM_INDEX);
-                    let outcomes =
-                        fz.with_index(|index, accesses| full_outcomes(index, accesses, threads));
-                    let report = merge_outcomes(outcomes.iter().cloned());
-                    (
-                        Some(self.make_sidecar(&trace, &fz, outcomes)),
-                        report,
-                        DetectionPath::WarmIndex,
-                    )
-                }
-            }
-            Some(mut fz) => {
-                // Incremental: refreeze the appended suffix only.
-                let _path_span =
-                    futurerd_obs::Span::enter(futurerd_obs::names::STORE_DETECT_INCREMENTAL);
-                let appended_events = events - frozen_pos;
-                let old_access_count = fz.accesses().len();
-                extend_freezer(&mut fz, &trace.events()[frozen_pos..], threads);
-                let IncrementalOutcomes {
-                    outcomes,
-                    rerun,
-                    reused,
-                    rebalanced,
-                } = fz.with_index(|index, accesses| {
-                    let fresh = &accesses[old_access_count..];
-                    match cached_outcomes {
-                        Some(stored) if !stored.is_empty() => {
-                            incremental_on_pool(index, accesses, fresh, stored, threads)
-                        }
-                        _ => {
-                            let outcomes = full_outcomes(index, accesses, threads);
-                            let rerun = outcomes.len();
-                            IncrementalOutcomes {
-                                outcomes,
-                                rerun,
-                                reused: 0,
-                                rebalanced: false,
-                            }
-                        }
-                    }
-                });
-                let report = merge_outcomes(outcomes.iter().cloned());
-                (
-                    Some(self.make_sidecar(&trace, &fz, outcomes)),
-                    report,
-                    DetectionPath::Incremental {
-                        appended_events,
-                        rerun,
-                        reused,
-                        resumed: 0,
-                        rebalanced,
-                    },
-                )
-            }
-            None => {
-                // Cold: freeze from scratch.
-                let _path_span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_DETECT_COLD);
-                let mut fz = IncrementalFreezer::new(algorithm).expect("freezable checked above");
-                extend_freezer(&mut fz, trace.events(), threads);
-                let outcomes =
-                    fz.with_index(|index, accesses| full_outcomes(index, accesses, threads));
-                let report = merge_outcomes(outcomes.iter().cloned());
-                (
-                    Some(self.make_sidecar(&trace, &fz, outcomes)),
-                    report,
-                    DetectionPath::Cold,
-                )
-            }
-        };
-
-        self.record_path(path);
-        if let Some(sidecar) = sidecar {
-            let bytes = {
-                let _span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_SIDECAR_ENCODE);
-                codec::encode_sidecar(&sidecar)
-            };
-            futurerd_obs::counter_add(
-                futurerd_obs::names::STORE_SIDECAR_ENCODED_BYTES,
-                bytes.len() as u64,
-            );
-            std::fs::write(self.sidecar_path(name, algorithm), bytes)?;
-        }
-        Ok(StoreDetection {
-            report,
-            counts,
-            complete,
-            events,
-            path,
-        })
-    }
-
-    /// Queues a batch job (run later by [`Store::run_batch`]).
-    pub fn submit(&mut self, job: BatchJob) {
-        self.queue.push(job);
-    }
-
-    /// Number of queued jobs.
-    pub fn pending_jobs(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Runs every queued job in deterministic `(trace, algorithm, threads)`
-    /// order over the shared worker pools, writes the manifest to
-    /// `batch-manifest.txt` inside the store, and returns it. Job failures
-    /// are recorded in the manifest, not raised.
-    pub fn run_batch(&mut self) -> Result<BatchManifest, StoreError> {
-        let mut jobs = std::mem::take(&mut self.queue);
-        jobs.sort_by(|a, b| {
-            (a.trace.as_str(), a.algorithm.name(), a.threads).cmp(&(
-                b.trace.as_str(),
-                b.algorithm.name(),
-                b.threads,
-            ))
-        });
-        let mut records = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let outcome = self
-                .detect(&job.trace, job.algorithm, job.threads)
-                .map(|d| BatchSummary {
-                    path: d.path,
-                    races: d.report.race_count(),
-                    observations: d.report.total_observations(),
-                    events: d.events,
-                    digest: fnv1a64(d.report.to_string().as_bytes()),
-                })
-                .map_err(|e| e.to_string());
-            records.push(BatchRecord { job, outcome });
-        }
-        let manifest = BatchManifest { records };
-        std::fs::write(self.root.join("batch-manifest.txt"), manifest.to_string())?;
-        Ok(manifest)
     }
 
     /// Loads, verifies and binds the sidecar for `(name, algorithm)` against
@@ -821,20 +641,6 @@ impl Store {
         }
     }
 
-    fn make_sidecar(
-        &self,
-        trace: &Trace,
-        freezer: &IncrementalFreezer,
-        outcomes: Vec<PartitionOutcome>,
-    ) -> Sidecar {
-        let pos = freezer.position() as usize;
-        Sidecar {
-            trace_hash: hash_events(&trace.events()[..pos]),
-            freeze: freezer.to_raw(),
-            outcomes: Some(outcomes),
-        }
-    }
-
     /// Opens the raw state a long-lived detection session resumes from: the
     /// named trace plus — when a valid bound sidecar exists for `algorithm`
     /// — the resident freezer and any cached partition outcomes.
@@ -851,30 +657,35 @@ impl Store {
             return Err(StoreError::Unfreezable(algorithm));
         }
         let trace = self.load_trace(name)?;
-        let (freezer, outcomes) = match self.load_sidecar(name, algorithm, &trace) {
-            Some((freezer, outcomes)) => (Some(freezer), outcomes),
-            None => (None, None),
-        };
+        let (freezer, outcomes) = self.load_sidecar(name, algorithm, &trace).unzip();
         Ok(SessionState {
             trace,
             freezer,
-            outcomes,
+            outcomes: outcomes.flatten(),
         })
     }
 
-    /// Persists a session's current state: rewrites the trace file and the
-    /// freezer's algorithm sidecar (with its cached outcomes), so the next
-    /// [`Store::detect`] or session open is served warm.
+    /// Persists a session's current state: the freezer's algorithm sidecar
+    /// with its cached outcomes, plus the trace file when `trace_changed`
+    /// (the session ingested events since it last persisted), so the next
+    /// session open on the entry is served warm.
     pub fn persist_session(
         &mut self,
         name: &str,
         trace: &Trace,
+        trace_changed: bool,
         freezer: &IncrementalFreezer,
         outcomes: Vec<PartitionOutcome>,
     ) -> Result<(), StoreError> {
         Self::check_name(name)?;
-        trace.save(self.trace_path(name))?;
-        let sidecar = self.make_sidecar(trace, freezer, outcomes);
+        if trace_changed {
+            trace.save(self.trace_path(name))?;
+        }
+        let sidecar = Sidecar {
+            trace_hash: hash_events(&trace.events()[..freezer.position() as usize]),
+            freeze: freezer.to_raw(),
+            outcomes: Some(outcomes),
+        };
         let bytes = {
             let _span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_SIDECAR_ENCODE);
             codec::encode_sidecar(&sidecar)
@@ -890,8 +701,7 @@ impl Store {
     /// Folds one session-served detection into the store's work counters.
     /// Sessions route requests through their resident state, so the store
     /// only sees the resulting [`DetectionPath`]; this keeps the
-    /// cold/warm/incremental economics in [`Store::stats`] accurate for
-    /// session traffic too.
+    /// cold/warm/incremental economics in [`Store::stats`].
     pub fn record_path(&mut self, path: DetectionPath) {
         if futurerd_obs::enabled() {
             futurerd_obs::counter_add(&format!("store.path.{}", path.kind_key()), 1);
@@ -925,67 +735,6 @@ pub struct SessionState {
     pub freezer: Option<IncrementalFreezer>,
     /// Cached per-partition outcomes, if the sidecar carried them.
     pub outcomes: Option<Vec<PartitionOutcome>>,
-}
-
-/// Runs full sharded detection over a frozen index, on the shared pool when
-/// `threads > 1`.
-fn full_outcomes(
-    index: &ReachIndex,
-    accesses: &[GranuleAccess],
-    threads: usize,
-) -> Vec<PartitionOutcome> {
-    if threads > 1 {
-        let pool = ThreadPool::shared(threads);
-        parallel::detect_frozen_outcomes(index, accesses, threads, &PoolExec(&pool))
-    } else {
-        parallel::detect_frozen_outcomes(index, accesses, 1, &StdExecutor)
-    }
-}
-
-/// Incremental pass 2 ([`parallel::incremental_outcomes`]) on the shared
-/// worker pool when it pays, the calling thread otherwise.
-fn incremental_on_pool(
-    index: &ReachIndex,
-    accesses: &[GranuleAccess],
-    fresh: &[GranuleAccess],
-    stored: Vec<PartitionOutcome>,
-    threads: usize,
-) -> IncrementalOutcomes {
-    if threads > 1 {
-        let pool = ThreadPool::shared(threads);
-        parallel::incremental_outcomes(index, accesses, fresh, stored, threads, &PoolExec(&pool))
-    } else {
-        parallel::incremental_outcomes(index, accesses, fresh, stored, 1, &StdExecutor)
-    }
-}
-
-/// [`parallel::DetectExecutor`] over the shared work-stealing pool.
-struct PoolExec<'p>(&'p ThreadPool);
-
-impl parallel::DetectExecutor for PoolExec<'_> {
-    fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        self.0.run_batch(tasks);
-    }
-}
-
-impl parallel::AssistExecutor for PoolExec<'_> {
-    fn assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
-        self.0.run_assist(helpers, body);
-    }
-}
-
-/// Extends a freezer (the cold and incremental pass-1 paths), routing large
-/// closure-stamping batches through the shared pool's idle workers when
-/// `threads > 1`. The frozen state — and therefore the sidecar bytes — is
-/// byte-identical at every thread count.
-fn extend_freezer(fz: &mut IncrementalFreezer, events: &[TraceEvent], threads: usize) {
-    if threads > 1 {
-        let pool = ThreadPool::shared(threads);
-        let executor = PoolExec(&pool);
-        fz.extend_assisted(events, &parallel::FreezeAssist::new(threads, &executor));
-    } else {
-        fz.extend(events);
-    }
 }
 
 #[cfg(test)]
@@ -1048,113 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_path_reuses_the_sidecar() {
-        let mut store = temp_store("warm");
-        store.put_trace("t", &racy_trace()).expect("stores");
-        let cold = store
-            .detect("t", ReplayAlgorithm::MultiBags, 1)
-            .expect("cold");
-        assert_eq!(cold.path, DetectionPath::Cold);
-        assert_eq!(cold.report.race_count(), 1);
-        assert!(!cold.complete, "trace is a prefix");
-        let warm = store
-            .detect("t", ReplayAlgorithm::MultiBags, 1)
-            .expect("warm");
-        assert_eq!(warm.path, DetectionPath::WarmCached);
-        assert_eq!(warm.report, cold.report);
-        assert_eq!(store.stats().cold_freezes, 1);
-        assert_eq!(store.stats().warm_cached_hits, 1);
-        std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    #[test]
-    fn append_triggers_the_incremental_path() {
-        let mut store = temp_store("incr");
-        store.put_trace("t", &racy_trace()).expect("stores");
-        store
-            .detect("t", ReplayAlgorithm::MultiBagsPlus, 1)
-            .expect("cold");
-        // Append a second racy read on a *different* granule plus the rest
-        // of the program.
-        let suffix = [
-            TraceEvent::Read {
-                strand: StrandId(2),
-                addr: MemAddr(0x9000),
-                size: 4,
-            },
-            TraceEvent::Sync(futurerd_dag::events::SyncEvent {
-                parent: FunctionId(0),
-                child: FunctionId(1),
-                pre_join_strand: StrandId(2),
-                join_strand: StrandId(3),
-                child_last_strand: StrandId(1),
-                fork: futurerd_dag::events::ForkInfo {
-                    pre_fork_strand: StrandId(0),
-                    child_first_strand: StrandId(1),
-                    cont_strand: StrandId(2),
-                },
-            }),
-            TraceEvent::StrandStart {
-                strand: StrandId(3),
-                function: FunctionId(0),
-            },
-            TraceEvent::Return {
-                function: FunctionId(0),
-                last: StrandId(3),
-            },
-            TraceEvent::ProgramEnd { last: StrandId(3) },
-        ];
-        let (_, complete) = store.append_events("t", &suffix).expect("appends");
-        assert!(complete);
-        let inc = store
-            .detect("t", ReplayAlgorithm::MultiBagsPlus, 1)
-            .expect("incremental");
-        assert!(
-            matches!(
-                inc.path,
-                DetectionPath::Incremental {
-                    appended_events: 5,
-                    ..
-                }
-            ),
-            "{:?}",
-            inc.path
-        );
-        // Byte-identical to cold full detection of the extended trace.
-        let mut cold_store = temp_store("incr-cold");
-        let full = store.load_trace("t").expect("loads");
-        cold_store.put_trace("t", &full).expect("stores");
-        let cold = cold_store
-            .detect("t", ReplayAlgorithm::MultiBagsPlus, 1)
-            .expect("cold");
-        assert_eq!(inc.report, cold.report);
-        assert_eq!(inc.report.to_string(), cold.report.to_string());
-        std::fs::remove_dir_all(store.root()).ok();
-        std::fs::remove_dir_all(cold_store.root()).ok();
-    }
-
-    #[test]
-    fn corrupt_sidecars_invalidate_to_cold() {
-        let mut store = temp_store("corrupt");
-        store.put_trace("t", &racy_trace()).expect("stores");
-        let first = store
-            .detect("t", ReplayAlgorithm::MultiBags, 1)
-            .expect("cold");
-        let sidecar = store.sidecar_path("t", ReplayAlgorithm::MultiBags);
-        let mut bytes = std::fs::read(&sidecar).expect("sidecar written");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&sidecar, &bytes).expect("rewrites");
-        let again = store
-            .detect("t", ReplayAlgorithm::MultiBags, 1)
-            .expect("re-detects");
-        assert_eq!(again.path, DetectionPath::Cold);
-        assert_eq!(again.report, first.report);
-        assert_eq!(store.stats().invalidated_sidecars, 1);
-        std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    #[test]
     fn store_rejects_bad_names_and_unfreezable_algorithms() {
         let mut store = temp_store("names");
         assert!(matches!(
@@ -1162,65 +804,14 @@ mod tests {
             Err(StoreError::InvalidName(_))
         ));
         assert!(matches!(
-            store.detect("nope", ReplayAlgorithm::MultiBags, 1),
+            store.open_session_state("nope", ReplayAlgorithm::MultiBags),
             Err(StoreError::UnknownTrace(_))
         ));
         store.put_trace("t", &racy_trace()).expect("stores");
         assert!(matches!(
-            store.detect("t", ReplayAlgorithm::GraphOracle, 1),
+            store.open_session_state("t", ReplayAlgorithm::GraphOracle),
             Err(StoreError::Unfreezable(_))
         ));
-        std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    #[test]
-    fn batch_runs_jobs_in_deterministic_order() {
-        let mut store = temp_store("batch");
-        store.put_trace("b", &racy_trace()).expect("stores");
-        store.put_trace("a", &racy_trace()).expect("stores");
-        for (trace, algorithm, threads) in [
-            ("b", ReplayAlgorithm::MultiBagsPlus, 2),
-            ("a", ReplayAlgorithm::MultiBags, 1),
-            ("missing", ReplayAlgorithm::MultiBags, 1),
-            ("a", ReplayAlgorithm::MultiBagsPlus, 2),
-        ] {
-            store.submit(BatchJob {
-                trace: trace.to_string(),
-                algorithm,
-                threads,
-            });
-        }
-        assert_eq!(store.pending_jobs(), 4);
-        let manifest = store.run_batch().expect("batch runs");
-        assert_eq!(store.pending_jobs(), 0);
-        assert!(!manifest.all_ok(), "the missing trace must be recorded");
-        let order: Vec<&str> = manifest
-            .records
-            .iter()
-            .map(|r| r.job.trace.as_str())
-            .collect();
-        assert_eq!(order, ["a", "a", "b", "missing"]);
-        let rendered = manifest.to_string();
-        assert!(rendered.contains("digest="), "{rendered}");
-        assert!(rendered.contains("FAILED"), "{rendered}");
-        let on_disk =
-            std::fs::read_to_string(store.root().join("batch-manifest.txt")).expect("manifest");
-        assert_eq!(on_disk, rendered);
-        // Re-running the same jobs yields the same digests (warm paths).
-        for record in &manifest.records {
-            store.submit(record.job.clone());
-        }
-        let again = store.run_batch().expect("batch reruns");
-        for (a, b) in manifest.records.iter().zip(&again.records) {
-            match (&a.outcome, &b.outcome) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.digest, y.digest);
-                    assert!(y.path.is_warm(), "{:?}", y.path);
-                }
-                (Err(_), Err(_)) => {}
-                other => panic!("outcome class changed: {other:?}"),
-            }
-        }
         std::fs::remove_dir_all(store.root()).ok();
     }
 

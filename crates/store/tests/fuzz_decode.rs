@@ -4,11 +4,15 @@
 
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::genprog::{generate_program, GenConfig};
-use futurerd_dag::trace::{Trace, TRACE_VERSION_V1, TRACE_VERSION_V2};
+use futurerd_dag::trace::Trace;
 use futurerd_runtime::trace::record_spec;
 use futurerd_store::{decode_sidecar, encode_sidecar, hash_events, Sidecar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// [`sample_trace`] as the retired v1 and v2 trace writers encoded it.
+const SAMPLE_V1: &[u8] = include_bytes!("../testdata/sample.v1.frdtrace");
+const SAMPLE_V2: &[u8] = include_bytes!("../testdata/sample.v2.frdtrace");
 
 fn sample_trace() -> Trace {
     let spec = generate_program(
@@ -35,18 +39,19 @@ fn sample_sidecar(trace: &Trace) -> Vec<u8> {
     })
 }
 
-/// Any strict prefix of a trace file must fail to decode, in every format
-/// version, with a typed error.
+/// Every format version decodes to the same trace, and any strict prefix
+/// of a trace file must fail to decode with a typed error.
 #[test]
 fn truncated_traces_are_typed_errors() {
     let trace = sample_trace();
+    let v3 = trace.to_bytes();
     let mut rng = StdRng::seed_from_u64(0xF0F0);
-    for version in [
-        TRACE_VERSION_V1,
-        TRACE_VERSION_V2,
-        futurerd_dag::trace::TRACE_VERSION,
-    ] {
-        let bytes = trace.to_bytes_versioned(version).expect("encodes");
+    for (version, bytes) in [(1, SAMPLE_V1), (2, SAMPLE_V2), (3, &v3)] {
+        assert_eq!(
+            Trace::from_bytes(bytes).expect("intact bytes decode"),
+            trace,
+            "v{version}"
+        );
         // Every short prefix, plus 200 random interior cuts.
         let cuts: Vec<usize> = (0..bytes.len().min(64))
             .chain((0..200).map(|_| rng.gen_range(0..bytes.len())))
@@ -73,9 +78,7 @@ fn bit_flipped_traces_never_panic_and_v3_always_errors() {
     let trace = sample_trace();
     let mut rng = StdRng::seed_from_u64(0xB17F);
 
-    let v3 = trace
-        .to_bytes_versioned(futurerd_dag::trace::TRACE_VERSION)
-        .expect("encodes");
+    let v3 = trace.to_bytes();
     for _ in 0..400 {
         let mut bytes = v3.clone();
         let at = rng.gen_range(0..bytes.len());
@@ -89,10 +92,9 @@ fn bit_flipped_traces_never_panic_and_v3_always_errors() {
         let _ = result.unwrap_err().to_string();
     }
 
-    for version in [TRACE_VERSION_V1, TRACE_VERSION_V2] {
-        let encoded = trace.to_bytes_versioned(version).expect("encodes");
+    for encoded in [SAMPLE_V1, SAMPLE_V2] {
         for _ in 0..200 {
-            let mut bytes = encoded.clone();
+            let mut bytes = encoded.to_vec();
             let at = rng.gen_range(0..bytes.len());
             bytes[at] ^= 1 << rng.gen_range(0..8);
             // Decoding may succeed (absolute-field formats have no

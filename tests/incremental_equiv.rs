@@ -1,17 +1,16 @@
 //! Incremental re-detection ≡ full from-scratch detection.
 //!
 //! The acceptance property: for random generated programs split at random
-//! append points, storing the prefix, detecting, appending the suffix and
-//! re-detecting **incrementally** yields a report byte-identical to cold
-//! full detection of the extended trace — at P ∈ {1, 4}, for both freezable
-//! algorithms, in both future regimes, including multi-chunk append chains.
+//! append points, storing the prefix, detecting (`Config::replay_stored`),
+//! appending the suffix and re-detecting **incrementally** yields a report
+//! byte-identical to cold full detection of the extended trace — at
+//! P ∈ {1, 4}, for both freezable algorithms, in both future regimes,
+//! including multi-chunk append chains.
 
-use futurerd_core::parallel::par_replay_detect;
+use futurerd::{par_replay_detect, Config, DetectionPath, Store, Trace};
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::genprog::{generate_program, GenConfig};
-use futurerd_dag::trace::Trace;
 use futurerd_runtime::trace::record_spec;
-use futurerd_store::{DetectionPath, Store};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,13 +41,14 @@ fn check_split(
     context: &str,
 ) {
     let mut store = temp_store("case");
+    let config = Config::new().algorithm(algorithm.into()).threads(threads);
     let mut prefix = Trace::new();
     prefix.extend_events(&trace.events()[..cut]);
     store.put_trace("t", &prefix).expect("prefix is canonical");
-    let first = store
-        .detect("t", algorithm, threads)
+    let first = config
+        .replay_stored(&mut store, "t")
         .expect("prefix detects");
-    assert_eq!(first.path, DetectionPath::Cold, "{context}");
+    assert_eq!(first.path, Some(DetectionPath::Cold), "{context}");
 
     // Append the suffix in `chunks` roughly equal pieces, re-detecting
     // after each append (every re-detection must take the incremental
@@ -57,32 +57,32 @@ fn check_split(
     let chunk = suffix.len().div_ceil(chunks.max(1)).max(1);
     let mut last = None;
     for (i, piece) in suffix.chunks(chunk).enumerate() {
-        store.append_events("t", piece).expect("append validates");
-        let detection = store
-            .detect("t", algorithm, threads)
+        let (_, complete) = store.append_events("t", piece).expect("append validates");
+        let detection = config
+            .replay_stored(&mut store, "t")
             .expect("incremental detects");
         assert!(
-            matches!(detection.path, DetectionPath::Incremental { .. }),
+            matches!(detection.path, Some(DetectionPath::Incremental { .. })),
             "{context} chunk {i}: {:?}",
             detection.path
         );
-        last = Some(detection);
+        last = Some((detection, complete));
     }
-    let last = match last {
+    let (last, complete) = match last {
         Some(last) => last,
         None => return, // cut == len: nothing to append
     };
-    assert!(last.complete, "{context}: full trace must be complete");
+    assert!(complete, "{context}: full trace must be complete");
 
     // Byte-identical to the cold two-pass engine on the extended trace.
     let cold = par_replay_detect(trace, algorithm, threads).expect("canonical");
-    assert_eq!(last.report, cold, "{context}");
-    assert_eq!(last.report.to_string(), cold.to_string(), "{context}");
+    assert_eq!(last.report(), &cold, "{context}");
+    assert_eq!(last.report().to_string(), cold.to_string(), "{context}");
 
     // And the refreshed sidecar is warm for the extended trace.
-    let warm = store.detect("t", algorithm, threads).expect("warm");
-    assert_eq!(warm.path, DetectionPath::WarmCached, "{context}");
-    assert_eq!(warm.report, cold, "{context}");
+    let warm = config.replay_stored(&mut store, "t").expect("warm");
+    assert_eq!(warm.path, Some(DetectionPath::WarmCached), "{context}");
+    assert_eq!(warm.report(), &cold, "{context}");
     let stats = store.stats();
     assert_eq!(stats.invalidated_sidecars, 0, "{context}");
     assert!(stats.incremental_refreezes >= 1, "{context}");
