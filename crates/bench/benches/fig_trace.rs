@@ -3,14 +3,18 @@
 //!
 //! The paper's detectors pay execution + detection on every run; the trace
 //! subsystem splits that into a one-time record cost and a per-detector
-//! replay cost. Three measurements per workload:
+//! replay cost. Five measurements per workload:
 //!
 //! * `record`     — run the workload under a `TraceRecorder` (no detection);
 //! * `replay`     — feed the pre-recorded trace through the designated full
 //!   detector (MultiBags for structured, MultiBags+ for general), without
 //!   re-executing the workload;
 //! * `inprocess`  — classic single-pass execution + full detection, the
-//!   baseline the split is compared against.
+//!   baseline the split is compared against;
+//! * `encode`     — serialize the recorded trace to `FRDTRACE` bytes
+//!   (`Trace::to_bytes`);
+//! * `decode`     — parse those bytes back into events (`Trace::from_bytes`),
+//!   the first layer of every replay from a stored trace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use futurerd_bench::bench_params;
@@ -90,6 +94,17 @@ fn fig_trace(c: &mut Criterion) {
                     .race_count(),
                 })
             },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(kind.name(), "encode"),
+            &trace,
+            |b, trace| b.iter(|| trace.to_bytes().len()),
+        );
+        let bytes = trace.to_bytes();
+        group.bench_with_input(
+            BenchmarkId::new(kind.name(), "decode"),
+            &bytes,
+            |b, bytes| b.iter(|| Trace::from_bytes(bytes).expect("own encoding").len()),
         );
     }
     group.finish();

@@ -607,13 +607,28 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     }
 }
 
+/// Reads and decodes a trace file for the commands that start from one.
+/// Also returns the line they print about it: the file's size and the time
+/// it took to load, so decoding shows up next to detection.
+fn load_timed(path: &str) -> Result<(Trace, String), futurerd_dag::trace::TraceError> {
+    let start = Instant::now();
+    let bytes = std::fs::read(path)?;
+    let trace = Trace::from_bytes(&bytes)?;
+    let line = format!(
+        "  trace file: {} bytes, loaded in {:.2?}",
+        bytes.len(),
+        start.elapsed()
+    );
+    Ok((trace, line))
+}
+
 fn cmd_replay(opts: &Options) -> ExitCode {
     let Some(input) = &opts.input else {
         eprintln!("replay needs --input");
         usage()
     };
-    let trace = match Trace::load(input) {
-        Ok(trace) => trace,
+    let (trace, loaded) = match load_timed(input) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("cannot load {input}: {e}");
             return ExitCode::FAILURE;
@@ -627,6 +642,7 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         }
     };
     println!("{input}: {events} events, {counts}", events = trace.len());
+    println!("{loaded}");
     let (algorithms, explicit): (Vec<ReplayAlgorithm>, bool) = match opts.algorithm.as_deref() {
         None | Some("all") => (ReplayAlgorithm::ALL.to_vec(), false),
         Some(name) => match ReplayAlgorithm::parse(name) {
@@ -1090,8 +1106,8 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             usage()
         }
     };
-    let trace = match Trace::load(path) {
-        Ok(trace) => trace,
+    let (trace, loaded) = match load_timed(path) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("cannot load {path}: {e}");
             return ExitCode::FAILURE;
@@ -1125,6 +1141,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         trace.len(),
         algorithm.name(),
     ));
+    status(loaded);
     futurerd_obs::set_enabled(true);
     enable_observability(&opts);
     let points: &[usize] = if n == 1 { &[1] } else { &[1, n] };

@@ -250,10 +250,17 @@ fn smoke_group(group: &str, samples: u32) -> Vec<BenchResult> {
                 recorder.into_trace()
             };
             let trace = record();
+            let bytes = trace.to_bytes();
             vec![
                 m(format!("{group}/lcs/record"), &mut || record().len() as u64),
                 m(format!("{group}/lcs/replay"), &mut || {
                     replay_detect_unchecked(&trace, ReplayAlgorithm::MultiBags).race_count() as u64
+                }),
+                m(format!("{group}/lcs/encode"), &mut || {
+                    trace.to_bytes().len() as u64
+                }),
+                m(format!("{group}/lcs/decode"), &mut || {
+                    Trace::from_bytes(&bytes).expect("own encoding").len() as u64
                 }),
             ]
         }

@@ -36,7 +36,8 @@
 //! (coordinator-side batch publication), `freeze.assist.stamp`
 //! (worker-side pull loops), `detect.ranges` (choosing the partition
 //! boundaries), `detect.partition` (per-partition tasks),
-//! `store.sidecar.encode` / `store.sidecar.decode`, and per-path report
+//! `store.sidecar.encode` / `store.sidecar.decode`,
+//! `store.trace.encode` / `store.trace.decode`, and per-path report
 //! timings `session.report.cold|warm_index|warm_cached|incremental`.
 //!
 //! ## Thread attribution

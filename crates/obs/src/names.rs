@@ -39,6 +39,10 @@ pub const FREEZE_ASSIST_STAMP: &str = "freeze.assist.stamp";
 pub const STORE_SIDECAR_ENCODE: &str = "store.sidecar.encode";
 /// Sidecar deserialization.
 pub const STORE_SIDECAR_DECODE: &str = "store.sidecar.decode";
+/// Trace file serialization in the store (`FRDTRACE` encode).
+pub const STORE_TRACE_ENCODE: &str = "store.trace.encode";
+/// Trace file deserialization in the store (`FRDTRACE` decode).
+pub const STORE_TRACE_DECODE: &str = "store.trace.decode";
 
 /// Session report timing, cold path.
 pub const SESSION_REPORT_COLD: &str = "session.report.cold";
@@ -61,6 +65,10 @@ pub const FREEZE_ASSIST_INDEX_MISSES: &str = "freeze.assist.index_misses";
 pub const STORE_SIDECAR_ENCODED_BYTES: &str = "store.sidecar.encoded_bytes";
 /// Sidecar bytes read.
 pub const STORE_SIDECAR_DECODED_BYTES: &str = "store.sidecar.decoded_bytes";
+/// Trace file bytes written by the store.
+pub const STORE_TRACE_ENCODED_BYTES: &str = "store.trace.encoded_bytes";
+/// Trace file bytes read by the store.
+pub const STORE_TRACE_DECODED_BYTES: &str = "store.trace.decoded_bytes";
 
 // --- Gauges -----------------------------------------------------------------
 
@@ -86,6 +94,8 @@ pub const MANIFEST: &[&str] = &[
     FREEZE_ASSIST_STAMP,
     STORE_SIDECAR_ENCODE,
     STORE_SIDECAR_DECODE,
+    STORE_TRACE_ENCODE,
+    STORE_TRACE_DECODE,
     SESSION_REPORT_COLD,
     SESSION_REPORT_WARM_INDEX,
     SESSION_REPORT_WARM_CACHED,
@@ -101,6 +111,8 @@ pub const MANIFEST: &[&str] = &[
     "freeze.assist.units.detect.*",
     STORE_SIDECAR_ENCODED_BYTES,
     STORE_SIDECAR_DECODED_BYTES,
+    STORE_TRACE_ENCODED_BYTES,
+    STORE_TRACE_DECODED_BYTES,
     // Gauges.
     SESSION_INGEST_EVENTS_PER_SEC,
     OBS_TIMELINE_DROPPED,

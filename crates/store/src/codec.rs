@@ -22,10 +22,11 @@
 //! *bulk* arrays — strand/set tables, the timed-closure rows and the granule
 //! access stream — are raw little-endian words, because a warm load must be
 //! strictly cheaper than refreezing and fixed-width rows decode at memcpy
-//! speed where per-element varints do not. The checksum (an FNV-style hash
-//! folded over 8-byte words) is verified **before** the payload is decoded —
-//! a truncated or bit-flipped sidecar is a typed [`StoreError`], never a
-//! panic, a hang, or a silently wrong index (the structural validation of
+//! speed where per-element varints do not. The checksum ([`hash64`], an
+//! FNV-style hash folded over 8-byte words, shared with `FRDTRACE` v4 trace
+//! files) is verified **before** the payload is decoded — a truncated or
+//! bit-flipped sidecar is a typed [`StoreError`], never a panic, a hang, or
+//! a silently wrong index (the structural validation of
 //! `IncrementalFreezer::from_raw` backstops the vanishingly unlikely
 //! checksum collision).
 
@@ -46,23 +47,11 @@ pub const INDEX_MAGIC: [u8; 8] = *b"FRDIDX\0\0";
 /// store treats as a routine invalidation (refreeze cold, rewrite).
 pub const INDEX_VERSION: u32 = 2;
 
-/// The sidecar checksum: FNV-style multiply-xor folded over 8-byte
-/// little-endian words (plus a length-salted tail), ~8× faster than
-/// byte-at-a-time FNV on the multi-megabyte payloads warm loads read.
-pub fn hash64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut tail = 0u64;
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        tail |= u64::from(b) << (8 * i);
-    }
-    hash = (hash ^ tail).wrapping_mul(0x0000_0100_0000_01b3);
-    hash
-}
+/// The sidecar checksum, shared with the `FRDTRACE` v4 payload: FNV-style
+/// multiply-xor folded over 8-byte little-endian words (plus a
+/// length-salted tail), defined next to the trace codec in
+/// `futurerd-dag` so one word checksum serves both formats.
+pub use futurerd_dag::trace::hash64;
 
 /// The decoded contents of an `FRDIDX` sidecar.
 #[derive(Debug, Clone, PartialEq, Eq)]

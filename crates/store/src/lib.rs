@@ -566,7 +566,7 @@ impl Store {
     ) -> Result<(TraceCounts, bool), StoreError> {
         Self::check_name(name)?;
         let prefix = trace.validate_prefix()?;
-        trace.save(self.trace_path(name))?;
+        self.write_trace(name, trace)?;
         Ok(prefix)
     }
 
@@ -577,7 +577,27 @@ impl Store {
         if !path.exists() {
             return Err(StoreError::UnknownTrace(name.to_string()));
         }
-        Ok(Trace::load(path)?)
+        let bytes = std::fs::read(path)?;
+        futurerd_obs::counter_add(
+            futurerd_obs::names::STORE_TRACE_DECODED_BYTES,
+            bytes.len() as u64,
+        );
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_TRACE_DECODE);
+        Ok(Trace::from_bytes(&bytes)?)
+    }
+
+    /// Encodes `trace` and writes it as the named entry's trace file.
+    fn write_trace(&self, name: &str, trace: &Trace) -> Result<(), StoreError> {
+        let bytes = {
+            let _span = futurerd_obs::Span::enter(futurerd_obs::names::STORE_TRACE_ENCODE);
+            trace.to_bytes()
+        };
+        futurerd_obs::counter_add(
+            futurerd_obs::names::STORE_TRACE_ENCODED_BYTES,
+            bytes.len() as u64,
+        );
+        std::fs::write(self.trace_path(name), bytes)?;
+        Ok(())
     }
 
     /// Appends events to a stored trace, validating the extended stream as a
@@ -592,7 +612,7 @@ impl Store {
         let mut trace = self.load_trace(name)?;
         trace.extend_events(events);
         let prefix = trace.validate_prefix()?;
-        trace.save(self.trace_path(name))?;
+        self.write_trace(name, &trace)?;
         Ok(prefix)
     }
 
@@ -679,7 +699,7 @@ impl Store {
     ) -> Result<(), StoreError> {
         Self::check_name(name)?;
         if trace_changed {
-            trace.save(self.trace_path(name))?;
+            self.write_trace(name, trace)?;
         }
         let sidecar = Sidecar {
             trace_hash: hash_events(&trace.events()[..freezer.position() as usize]),

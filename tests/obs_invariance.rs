@@ -317,6 +317,37 @@ fn enabled_runs_record_the_documented_stages() {
     assert!(json.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     let prom = futurerd_obs::export_prometheus(&snapshot);
     assert!(prom.contains("futurerd_stage_spans_total{stage=\"validate\"}"));
+
+    // A stored session that ingests and reports decodes its trace file on
+    // open and encodes it again when it persists the ingested events.
+    let dir = std::env::temp_dir().join(format!("futurerd-obs-stages-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = futurerd::Store::open(&dir).expect("store opens");
+    let (prefix, suffix) = trace.events().split_at(trace.len() / 2);
+    let mut head = futurerd::Trace::new();
+    head.extend_events(prefix);
+    store.put_trace("t", &head).expect("canonical prefix");
+    futurerd_obs::set_enabled(true);
+    futurerd_obs::reset();
+    let mut session = config.open_session(&mut store, "t").expect("stored entry");
+    session.ingest(suffix).expect("canonical suffix");
+    session.report().expect("stored session reports");
+    drop(session);
+    let snapshot = futurerd_obs::snapshot();
+    futurerd_obs::set_enabled(false);
+    std::fs::remove_dir_all(&dir).ok();
+    for stage in ["store.trace.decode", "store.trace.encode"] {
+        let stats = snapshot
+            .stage(stage)
+            .unwrap_or_else(|| panic!("stage '{stage}' missing from {snapshot:?}"));
+        assert!(stats.count > 0, "{stage}: no spans closed");
+    }
+    for counter in ["store.trace.decoded_bytes", "store.trace.encoded_bytes"] {
+        assert!(
+            snapshot.metric(counter) > Some(0),
+            "{counter} missing from {snapshot:?}"
+        );
+    }
 }
 
 #[test]
