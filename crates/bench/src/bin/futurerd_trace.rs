@@ -33,6 +33,7 @@
 //! futures, MultiBags on multi-touch traces) are quantified, anything else
 //! is a real bug and the command exits non-zero.
 
+use futurerd_bench::{out, outln};
 use futurerd_core::detector::RaceDetector;
 use futurerd_core::parallel::par_replay_detect;
 use futurerd_core::reachability::{
@@ -126,10 +127,11 @@ fn usage() -> ! {
          caught with a replayable schedule (--skip-planted omits them).\n\
          Any invariant-violating schedule prints a replayable trace and\n\
          the exit is non-zero.\n\
-         regress re-measures a representative smoke subset of the fig\n\
-         benches (same kernels, 1-iteration samples) and compares means\n\
-         against --against with noise-aware thresholds derived from the\n\
-         baseline's own min/max spread; it appends one line to the\n\
+         regress re-measures the smoke rows of the benchmark table (the\n\
+         kernels cargo bench --bench figs sweeps, in short samples) and\n\
+         compares means against --against with noise-aware thresholds\n\
+         derived from the baseline's own min/max spread; --bench keeps the\n\
+         ids of one bench name or id substring. It appends one line to the\n\
          BENCH_trajectory.jsonl perf trajectory and exits non-zero when\n\
          anything regressed. --from compares a saved --out document\n\
          instead of re-measuring; --inflate <factor> scales the run's\n\
@@ -351,15 +353,15 @@ fn emit_observability(opts: &Options) -> bool {
             eprintln!("cannot write metrics to {path}: {e}");
             ok = false;
         } else {
-            println!("metrics written to {path}");
+            outln!("metrics written to {path}");
         }
     } else if let Some(format) = opts.metrics {
-        print!("{}", render_metrics(format));
+        out!("{}", render_metrics(format));
     }
     if opts.trace_out.is_some() || opts.timeline {
         let timeline = futurerd_obs::timeline();
         if opts.timeline {
-            print!("{}", futurerd_obs::export_timeline_text(&timeline));
+            out!("{}", futurerd_obs::export_timeline_text(&timeline));
         }
         if let Some(path) = &opts.trace_out {
             if let Err(e) = std::fs::write(path, futurerd_obs::export_chrome_trace(&timeline)) {
@@ -367,7 +369,7 @@ fn emit_observability(opts: &Options) -> bool {
                 ok = false;
             } else {
                 let threads = timeline.utilization().len();
-                println!(
+                outln!(
                     "timeline written to {path}: {} interval(s) across {} thread(s), {} dropped",
                     timeline.intervals.len(),
                     threads,
@@ -477,7 +479,7 @@ fn detect_in_process(
 }
 
 fn verdict_line(algorithm: ReplayAlgorithm, report: &RaceReport, elapsed: std::time::Duration) {
-    println!(
+    outln!(
         "  {:<11} {:>4} racy granules, {:>6} observations   ({:.2?})",
         algorithm.name(),
         report.race_count(),
@@ -508,12 +510,12 @@ fn cmd_record(opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    println!(
+    outln!(
         "recorded {workload} ({mode}) in {elapsed:.2?}: {events} events, {counts}",
         mode = opts.mode,
         events = trace.len(),
     );
-    println!("checksum {checksum:#x}; wrote {bytes} bytes to {out}");
+    outln!("checksum {checksum:#x}; wrote {bytes} bytes to {out}");
     ExitCode::SUCCESS
 }
 
@@ -579,9 +581,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print!("{manifest}");
+    out!("{manifest}");
     let stats = store.stats();
-    println!(
+    outln!(
         "{queued} job(s) in {:.2?}: {} cold freeze(s), {} warm load(s), {} fully cached, {} incremental; manifest written to {dir}/batch-manifest.txt",
         start.elapsed(),
         stats.cold_freezes,
@@ -589,7 +591,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         stats.warm_cached_hits,
         stats.incremental_refreezes,
     );
-    println!(
+    outln!(
         "store: {} partition(s) rerun, {} reused, {} rebalance(s), {} invalidated sidecar(s)",
         stats.partitions_rerun,
         stats.partitions_reused,
@@ -641,8 +643,8 @@ fn cmd_replay(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("{input}: {events} events, {counts}", events = trace.len());
-    println!("{loaded}");
+    outln!("{input}: {events} events, {counts}", events = trace.len());
+    outln!("{loaded}");
     let (algorithms, explicit): (Vec<ReplayAlgorithm>, bool) = match opts.algorithm.as_deref() {
         None | Some("all") => (ReplayAlgorithm::ALL.to_vec(), false),
         Some(name) => match ReplayAlgorithm::parse(name) {
@@ -664,7 +666,7 @@ fn cmd_replay(opts: &Options) -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            println!(
+            outln!(
                 "  {:<11} not runnable: the trace uses futures (SP-Bags aborts by design)",
                 algorithm.name()
             );
@@ -687,15 +689,15 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         let report = detection.report();
         verdict_line(algorithm, report, start.elapsed());
         if sharded {
-            println!(
+            outln!(
                 "              (sharded parallel engine, P={})",
                 opts.threads
             );
         } else if opts.threads > 1 {
-            println!("              (no frozen reachability form: replayed sequentially)");
+            outln!("              (no frozen reachability form: replayed sequentially)");
         }
         if report.is_approximate() {
-            println!("              (approximate verdict: fork-join baseline on a futures trace)");
+            outln!("              (approximate verdict: fork-join baseline on a futures trace)");
         }
     }
     ExitCode::SUCCESS
@@ -711,7 +713,7 @@ fn cmd_diff(opts: &Options) -> ExitCode {
         eprintln!("recorded trace failed validation (bug): {e}");
         return ExitCode::FAILURE;
     }
-    println!(
+    outln!(
         "{workload} ({mode}): recorded {events} events in {record_time:.2?}",
         mode = opts.mode,
         events = trace.len(),
@@ -722,7 +724,7 @@ fn cmd_diff(opts: &Options) -> ExitCode {
     let mut approximate_reports: Vec<(ReplayAlgorithm, RaceReport)> = Vec::new();
     for algorithm in ReplayAlgorithm::ALL {
         if !algorithm.runnable_for(&trace) {
-            println!(
+            outln!(
                 "  {:<11} not runnable on futures (identically in-process and on replay)",
                 algorithm.name()
             );
@@ -737,9 +739,9 @@ fn cmd_diff(opts: &Options) -> ExitCode {
             && replayed.witnesses() == direct.witnesses();
         verdict_line(algorithm, &replayed, replay_time);
         if matches {
-            println!("              replay == in-process ✓");
+            outln!("              replay == in-process ✓");
         } else {
-            println!(
+            outln!(
                 "              MISMATCH: in-process found {} racy granules / {} observations",
                 direct.race_count(),
                 direct.total_observations()
@@ -772,7 +774,7 @@ fn cmd_diff(opts: &Options) -> ExitCode {
             let error = ApproximationError::measure(*algorithm, report, oracle);
             approx_missed += error.missed;
             approx_spurious += error.spurious;
-            println!(
+            outln!(
                 "  {:<11} approximate vs oracle: {} racy granule(s) missed, {} spurious (by design, not a failure)",
                 algorithm.name(),
                 error.missed,
@@ -786,7 +788,7 @@ fn cmd_diff(opts: &Options) -> ExitCode {
             if error.missed == 0 && error.spurious == 0 {
                 continue;
             }
-            println!(
+            outln!(
                 "  {:<11} MISMATCH vs oracle: {} racy granule(s) missed, {} spurious",
                 algorithm.name(),
                 error.missed,
@@ -797,7 +799,7 @@ fn cmd_diff(opts: &Options) -> ExitCode {
             failures += 1;
         }
     }
-    println!(
+    outln!(
         "diff: {failures} genuine divergence(s) ({genuine_missed} missed / {genuine_spurious} spurious racy granules), {} known approximation(s) ({approx_missed} missed / {approx_spurious} spurious) => {}",
         approximate_reports.len(),
         if failures == 0 { "AGREE" } else { "DIVERGED" },
@@ -833,7 +835,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let events = trace.events();
-    println!(
+    outln!(
         "{workload} ({mode}): recorded {n} events in {record_time:.2?}; following in {chunks} chunk(s), {algorithm:?} P={threads}",
         mode = opts.mode,
         n = events.len(),
@@ -877,7 +879,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
                     if stored.len() > events.len()
                         || stored.events() != &events[..stored.len()] =>
                 {
-                    println!("  stored entry '{name}' diverged from this recording; resetting");
+                    outln!("  stored entry '{name}' diverged from this recording; resetting");
                     if let Err(e) = seed_empty(&mut opened) {
                         eprintln!("cannot reset store entry '{name}': {e}");
                         return ExitCode::FAILURE;
@@ -900,7 +902,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
         None => config.session(),
     };
     if !session.is_empty() {
-        println!(
+        outln!(
             "  resuming stored session at {} event(s) already ingested",
             session.len()
         );
@@ -922,7 +924,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        println!(
+        outln!(
             "  +{:>6} ev → {:>7} total: {:>3} racy granules   [{}]   ({:.2?})",
             chunk.len(),
             session.len(),
@@ -960,7 +962,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!(
+    outln!(
         "followed {} events in {follow_time:.2?}; final verdict == one-shot replay ✓",
         events.len()
     );
@@ -969,7 +971,7 @@ fn cmd_follow(opts: &Options) -> ExitCode {
     drop(session);
     if let Some(store) = &store {
         let stats = store.stats();
-        println!(
+        outln!(
             "  store: {} cold freeze(s), {} warm load(s), {} fully cached, {} incremental ({} partition(s) rerun, {} reused, {} rebalance(s), {} invalidated sidecar(s))",
             stats.cold_freezes,
             stats.warm_index_loads,
@@ -993,7 +995,7 @@ fn cmd_fuzz(opts: &Options) -> ExitCode {
         return match futurerd_fuzz::fixture::emit_corpus(std::path::Path::new(dir), opts.per_shape)
         {
             Ok(written) => {
-                println!(
+                outln!(
                     "wrote {} minimized fixture(s) to {dir} in {:.2?}: {}",
                     written.len(),
                     start.elapsed(),
@@ -1018,7 +1020,7 @@ fn cmd_fuzz(opts: &Options) -> ExitCode {
     for bug in &summary.real_bugs {
         eprintln!("  {bug}");
     }
-    println!("{} ({:.2?})", summary.summary_line(), start.elapsed());
+    outln!("{} ({:.2?})", summary.summary_line(), start.elapsed());
     if summary.clean() {
         ExitCode::SUCCESS
     } else {
@@ -1030,13 +1032,17 @@ fn cmd_fuzz(opts: &Options) -> ExitCode {
 /// mean / max, plus how much of the wall clock the four disjoint
 /// coordinator stages account for.
 fn print_profile(threads: usize, wall: Duration, snapshot: &futurerd_obs::Snapshot) {
-    println!("P={threads}: wall {wall:.2?}");
-    println!(
+    outln!("P={threads}: wall {wall:.2?}");
+    outln!(
         "  {:<24} {:>7} {:>12} {:>12} {:>12}",
-        "stage", "count", "total", "mean", "max"
+        "stage",
+        "count",
+        "total",
+        "mean",
+        "max"
     );
     for row in &snapshot.stages {
-        println!(
+        outln!(
             "  {:<24} {:>7} {:>12} {:>12} {:>12}",
             row.name,
             row.stats.count,
@@ -1057,7 +1063,7 @@ fn print_profile(threads: usize, wall: Duration, snapshot: &futurerd_obs::Snapsh
     } else {
         100.0 * accounted as f64 / wall_ns as f64
     };
-    println!(
+    outln!(
         "  validate+freeze+detect+merge: {} of {} wall ({pct:.1}%)",
         futurerd_obs::fmt_duration_ns(accounted),
         futurerd_obs::fmt_duration_ns(wall_ns),
@@ -1133,7 +1139,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         if opts.json {
             eprintln!("{line}");
         } else {
-            println!("{line}");
+            outln!("{line}");
         }
     };
     status(format!(
@@ -1158,7 +1164,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         };
         let wall = start.elapsed();
         if opts.json {
-            println!(
+            outln!(
                 "{}",
                 profile_json_line(threads, wall, &futurerd_obs::snapshot())
             );
@@ -1172,12 +1178,12 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if opts.json {
-        println!(
+        outln!(
             "{{\"verdict\":{{\"races\":{},\"consistent\":true}}}}",
             race_counts[0]
         );
     } else {
-        println!(
+        outln!(
             "verdict: {} racy granules (identical at every P) ✓",
             race_counts[0]
         );
@@ -1190,11 +1196,11 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `regress`: re-measure the fig benches in smoke mode (or load a saved
-/// run with `--from`), compare against `--against` with noise-aware
+/// `regress`: re-measure the smoke rows of the benchmark table (or load a
+/// saved run with `--from`), compare against `--against` with noise-aware
 /// thresholds, append a perf-trajectory entry, and fail on regressions.
 fn cmd_regress(args: &[String]) -> ExitCode {
-    use futurerd_bench::regress;
+    use futurerd_bench::{kernels::Table, regress};
     let mut against: Option<String> = None;
     let mut bench: Option<String> = None;
     let mut out: Option<String> = None;
@@ -1255,7 +1261,8 @@ fn cmd_regress(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let group = bench.as_deref().map(regress::resolve_group);
+    let table = Table::all();
+    let selected = |id: &str| bench.as_deref().is_none_or(|b| table.selects(b, id));
     let mut run = match &from {
         Some(path) => match regress::load_results(path) {
             Ok(doc) => doc.results,
@@ -1264,12 +1271,11 @@ fn cmd_regress(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None => regress::smoke_results(bench.as_deref(), samples, |line| println!("  {line}")),
+        None => {
+            regress::smoke_results(&table, bench.as_deref(), samples, |line| outln!("  {line}"))
+        }
     };
-    if let Some(group) = group {
-        let prefix = format!("{group}/");
-        run.retain(|r| r.id.starts_with(&prefix));
-    }
+    run.retain(|r| selected(&r.id));
     if run.is_empty() {
         eprintln!(
             "regress: nothing to compare{}",
@@ -1280,7 +1286,7 @@ fn cmd_regress(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if inflate != 1.0 {
-        println!("  (--inflate {inflate}: scaling this run's times — harness self-test)");
+        outln!("  (--inflate {inflate}: scaling this run's times — harness self-test)");
         for r in &mut run {
             let scale = |ns: u64| ((ns as f64) * inflate).min(u64::MAX as f64) as u64;
             r.mean_ns = scale(r.mean_ns);
@@ -1289,29 +1295,23 @@ fn cmd_regress(args: &[String]) -> ExitCode {
         }
     }
     if let Some(path) = &out {
-        let doc = regress::format_results_doc(&run, "futurerd-trace regress smoke run");
+        let doc = regress::format_results_doc(&run, "futurerd-trace regress smoke run", true);
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("  run results written to {path}");
+        outln!("  run results written to {path}");
     }
-    let baseline_ids: Vec<_> = match group {
-        Some(group) => {
-            let prefix = format!("{group}/");
-            baseline
-                .results
-                .iter()
-                .filter(|r| r.id.starts_with(&prefix))
-                .cloned()
-                .collect()
-        }
-        None => baseline.results.clone(),
-    };
+    let baseline_ids: Vec<_> = baseline
+        .results
+        .iter()
+        .filter(|r| selected(&r.id))
+        .cloned()
+        .collect();
     let comparisons = regress::compare(&baseline_ids, &run);
-    print!("{}", regress::format_comparison(&comparisons));
-    println!(
-        "  (smoke subset: {} of {} baseline id(s) re-measured; full sweep: cargo bench)",
+    out!("{}", regress::format_comparison(&comparisons));
+    outln!(
+        "  (smoke subset: {} of {} baseline id(s) re-measured; full sweep: cargo bench -p futurerd-bench --bench figs)",
         comparisons
             .iter()
             .filter(|c| c.baseline_mean_ns.is_some())
@@ -1328,7 +1328,7 @@ fn cmd_regress(args: &[String]) -> ExitCode {
             .open(&path)
             .and_then(|mut f| std::io::Write::write_all(&mut f, entry.as_bytes()));
         match appended {
-            Ok(()) => println!("  trajectory entry appended to {path}"),
+            Ok(()) => outln!("  trajectory entry appended to {path}"),
             Err(e) => {
                 eprintln!("cannot append trajectory entry to {path}: {e}");
                 return ExitCode::FAILURE;
@@ -1374,7 +1374,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             }
         }
         if missing.is_empty() {
-            println!(
+            outln!(
                 "lint self-test: every rule fired on the seeded sources ({} violations)",
                 report.violations.len()
             );
@@ -1386,7 +1386,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
     match futurerd_check::lint::lint_workspace(std::path::Path::new(&root), manifest, &config) {
         Ok(report) if report.ok() => {
-            println!("lint: clean");
+            outln!("lint: clean");
             ExitCode::SUCCESS
         }
         Ok(report) => {
@@ -1433,7 +1433,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     if planted {
         for (name, run) in futurerd_check::selftest::all() {
             match std::panic::catch_unwind(run) {
-                Ok(cex) => println!(
+                Ok(cex) => outln!(
                     "check planted:{name}: caught after {} executions (schedule len {})",
                     cex.executions,
                     cex.schedule.len()
@@ -1451,9 +1451,11 @@ fn cmd_check(args: &[String]) -> ExitCode {
     for (name, run) in futurerd_bench::checksuite::all() {
         let config = config.clone();
         match std::panic::catch_unwind(move || run(&config)) {
-            Ok(stats) => println!(
+            Ok(stats) => outln!(
                 "check {name}: pass ({} executions, {} transitions, {} pruned)",
-                stats.executions, stats.transitions, stats.pruned
+                stats.executions,
+                stats.transitions,
+                stats.pruned
             ),
             Err(payload) => {
                 eprintln!("check {name}: FAIL\n{}", panic_message(&payload));

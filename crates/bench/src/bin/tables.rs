@@ -14,7 +14,7 @@
 
 use futurerd_bench::{
     base_case_table, format_base_case_table, format_overhead_table, format_scaling_table, geomean,
-    overhead_table, scaling_table, Algorithm,
+    outln, overhead_table, scaling_table, Algorithm,
 };
 use futurerd_workloads::FutureMode;
 
@@ -27,7 +27,7 @@ fn repeats() -> u32 {
 
 fn fig6() {
     let rows = overhead_table(FutureMode::Structured, Algorithm::MultiBags, repeats());
-    println!(
+    outln!(
         "{}",
         format_overhead_table(
             "Figure 6: structured futures, MultiBags race detection (times and overhead vs baseline)",
@@ -38,7 +38,7 @@ fn fig6() {
 
 fn fig7() {
     let rows = overhead_table(FutureMode::General, Algorithm::MultiBagsPlus, repeats());
-    println!(
+    outln!(
         "{}",
         format_overhead_table(
             "Figure 7: general futures, MultiBags+ race detection (times and overhead vs baseline)",
@@ -49,19 +49,19 @@ fn fig7() {
 
 fn fig8() {
     let rows = base_case_table(repeats());
-    println!("{}", format_base_case_table(&rows));
+    outln!("{}", format_base_case_table(&rows));
 }
 
 fn geomeans() {
     let s = overhead_table(FutureMode::Structured, Algorithm::MultiBags, repeats());
     let g = overhead_table(FutureMode::General, Algorithm::MultiBagsPlus, repeats());
-    println!("Section 6 headline geometric means (paper: 1.06x / 1.40x reachability, 20.48x / 25.98x full)");
-    println!(
+    outln!("Section 6 headline geometric means (paper: 1.06x / 1.40x reachability, 20.48x / 25.98x full)");
+    outln!(
         "  structured + MultiBags : reachability {:.2}x, full {:.2}x",
         geomean(s.iter().map(|r| r.overhead(1))),
         geomean(s.iter().map(|r| r.overhead(3))),
     );
-    println!(
+    outln!(
         "  general + MultiBags+   : reachability {:.2}x, full {:.2}x",
         geomean(g.iter().map(|r| r.overhead(1))),
         geomean(g.iter().map(|r| r.overhead(3))),
@@ -69,7 +69,7 @@ fn geomeans() {
 }
 
 fn scaling() {
-    println!("{}", format_scaling_table(&scaling_table()));
+    outln!("{}", format_scaling_table(&scaling_table()));
 }
 
 fn main() {

@@ -2,11 +2,11 @@
 //!
 //! The workspace deliberately carries no serde (the vendored crate is a
 //! no-op derive shim), but the regression harness must read
-//! `BENCH_baseline.json` and the `FUTURERD_BENCH_JSON` sample streams. This
-//! module parses the full JSON grammar into a small [`Json`] tree — enough
-//! to navigate objects/arrays and pull numbers and strings back out. It is
-//! a reader, not a general-purpose serializer; writers in this workspace
-//! format JSON by hand.
+//! `BENCH_baseline.json` and the results documents sweeps and `regress`
+//! write. This module parses the full JSON grammar into a small [`Json`]
+//! tree — enough to navigate objects/arrays and pull numbers and strings
+//! back out. It is a reader, not a general-purpose serializer; writers in
+//! this workspace format JSON by hand.
 
 use std::collections::BTreeMap;
 

@@ -11,8 +11,11 @@
 //!
 //! * `cargo run --release -p futurerd-bench --bin tables -- all` prints the
 //!   paper-style tables (times, per-row overheads, geometric means);
-//! * `cargo bench` runs the same configurations under Criterion
-//!   (`fig6_structured`, `fig7_general`, `fig8_basecase`, `fig_scaling`).
+//! * `cargo bench -p futurerd-bench --bench figs [-- <filter>]` times every
+//!   row of the benchmark table in [`kernels`] — the same configurations
+//!   plus the trace, engine, store and session kernels — with calibrated
+//!   sampling; `futurerd-trace regress` times its smoke rows through the
+//!   same measure loop and compares them against `BENCH_baseline.json`.
 //!
 //! Absolute times are not comparable to the paper (different host, different
 //! substrate: library-level instrumentation instead of compiler
@@ -46,6 +49,7 @@
 
 pub mod checksuite;
 pub mod json;
+pub mod kernels;
 pub mod regress;
 
 use futurerd_core::detector::{InstrumentationOnly, RaceDetector, ReachabilityOnly};
@@ -107,15 +111,54 @@ impl Algorithm {
     }
 }
 
+/// The input scale factor, `FUTURERD_SCALE` (default and minimum 1).
+pub(crate) fn scale() -> usize {
+    std::env::var("FUTURERD_SCALE")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// Writes `args` to stdout for the command-line front ends. When the
+/// reader has gone away (`futurerd-trace profile t.trace | head -2`) the
+/// process ends quietly with status 0; any other stdout error is reported
+/// in one line on stderr and exits with status 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Benchmark-input sizes used for the tables. These are scaled-down versions
 /// of the paper's inputs so a full table regenerates in seconds rather than
 /// hours; scale them with `FUTURERD_SCALE`.
 pub fn bench_params(kind: WorkloadKind) -> WorkloadParams {
-    let scale = std::env::var("FUTURERD_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
+    let scale = scale();
     let base = WorkloadParams::default();
     match kind {
         // Paper: N = 16k, B = sqrt(N).

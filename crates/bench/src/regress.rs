@@ -1,39 +1,29 @@
-//! Performance-regression harness: re-run the fig benches in smoke mode
-//! and compare against a recorded baseline.
+//! Performance-regression harness: re-measure the smoke rows of the
+//! benchmark table and compare them against a recorded baseline.
 //!
 //! `futurerd-trace regress --against BENCH_baseline.json` drives this
-//! module. A *smoke run* re-measures a representative subset of every
-//! baseline bench group's ids with the exact kernels the criterion
-//! benches use (same traces, same seeds, same measured routine), but with
-//! a handful of one-iteration samples instead of criterion's calibrated
-//! sampling — seconds instead of minutes, coarse but comparable. The
-//! comparison is noise-aware: each id's tolerance comes from the
-//! baseline's own min/max sample spread (never below ±50%, since a smoke
-//! sample is noisier than a calibrated one), so one-off scheduler blips
-//! do not fail CI while genuine slowdowns (the planted-regression test
-//! inflates a run 10×) reliably do. Every run can append one line to the
+//! module. A *smoke run* measures the rows of [`crate::kernels::Table`]
+//! marked smoke — the same kernels `cargo bench --bench figs` sweeps,
+//! through the same measure loop — but with a handful of ~50 µs samples
+//! ([`Sampling::smoke`]) instead of the sweep's calibrated ones: seconds
+//! instead of minutes, coarse but comparable. The comparison is
+//! noise-aware: each id's tolerance comes from the baseline's own min/max
+//! sample spread (never below ±50%, since a smoke sample is noisier than a
+//! calibrated one), so one-off scheduler blips do not fail CI while
+//! genuine slowdowns (the planted-regression test inflates a run 10×)
+//! reliably do. Every run can append one line to the
 //! `BENCH_trajectory.jsonl` perf trajectory, which is how the repo's perf
-//! history finally accumulates.
+//! history accumulates.
 
 use crate::json::Json;
-use crate::{bench_params, run_config, Algorithm, Config};
-use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, ReachIndex};
-use futurerd_core::replay::{replay_detect_unchecked, ReplayAlgorithm};
-use futurerd_dag::genprog::{generate_program, GenConfig};
-use futurerd_dag::trace::Trace;
-use futurerd_runtime::trace::{record_spec, TraceRecorder};
-use futurerd_store::{decode_sidecar, Store};
-use futurerd_workloads::fuzzgen::adversarial_kn;
-use futurerd_workloads::{run_workload, FutureMode, WorkloadKind};
+use crate::kernels::{Row, Sampling, Table};
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// One measured (or loaded) benchmark id, the same shape the vendored
-/// criterion shim appends under `FUTURERD_BENCH_JSON`.
+/// One measured (or loaded) benchmark id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchResult {
-    /// Full benchmark id, `group/function/value` (criterion's path form).
+    /// Full benchmark id, `group/function/value`.
     pub id: String,
     /// Mean wall-clock per iteration, nanoseconds.
     pub mean_ns: u64,
@@ -43,19 +33,21 @@ pub struct BenchResult {
     pub max_ns: u64,
     /// Number of samples behind the mean.
     pub samples: u32,
-    /// Iterations per sample (1 for smoke runs).
+    /// Iterations per sample.
     pub iters_per_sample: u32,
 }
 
-/// A loaded results document: `BENCH_baseline.json` or a `--out` file.
+/// A loaded results document: `BENCH_baseline.json`, a `--out` file or
+/// a sweep's `FUTURERD_BENCH_JSON` file.
 #[derive(Debug, Clone)]
 pub struct ResultsDoc {
     /// All results, in document order.
     pub results: Vec<BenchResult>,
 }
 
-/// Loads a results document (the checked-in baseline and `regress --out`
-/// files share the shape: a JSON object with a `results` array).
+/// Loads a results document (the checked-in baseline, sweep and
+/// `regress --out` files share the shape: a JSON object with a `results`
+/// array).
 ///
 /// A document that lists one id twice is an error naming the id:
 /// [`compare`] matches by id, so a second copy would be silently ignored.
@@ -93,18 +85,34 @@ pub fn load_results(path: &str) -> Result<ResultsDoc, String> {
     Ok(ResultsDoc { results })
 }
 
-/// Renders results as a baseline-shaped JSON document (what `--out`
-/// writes, and what `--against`/`--from` read back).
-pub fn format_results_doc(results: &[BenchResult], note: &str) -> String {
+/// Renders results as a baseline-shaped JSON document (what a sweep's
+/// `FUTURERD_BENCH_JSON` and `regress --out` write, and what
+/// `--against`/`--from` read back), stamped with the date, the host, the
+/// build profile and `FUTURERD_SCALE`. `note` and the ids are written
+/// verbatim, so they must not hold `"` or `\`.
+pub fn format_results_doc(results: &[BenchResult], note: &str, smoke: bool) -> String {
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"note\": \"{note}\",");
+    let _ = writeln!(out, "  \"recorded\": \"{}\",", utc_date(unix));
     let _ = writeln!(out, "  \"recorded_unix\": {unix},");
-    let _ = writeln!(out, "  \"smoke\": true,");
+    let _ = writeln!(
+        out,
+        "  \"host\": {{\"arch\": \"{}\", \"cpus\": {cpus}, \"profile\": \"{profile}\"}},",
+        std::env::consts::ARCH
+    );
+    let _ = writeln!(out, "  \"futurerd_scale\": {},", crate::scale());
+    let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(out, "  \"results\": [");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
@@ -119,298 +127,53 @@ pub fn format_results_doc(results: &[BenchResult], note: &str) -> String {
     out
 }
 
+/// The UTC calendar date `YYYY-MM-DD` of a Unix time (civil-from-days).
+fn utc_date(unix: u64) -> String {
+    let z = unix / 86_400 + 719_468;
+    let (era, doe) = (z / 146_097, z % 146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = era * 400 + yoe + u64::from(month <= 2);
+    format!("{year}-{month:02}-{day:02}")
+}
+
 // ---------------------------------------------------------------------------
-// Smoke kernels
+// Smoke runs
 // ---------------------------------------------------------------------------
 
-/// The bench groups the smoke runner covers (the baseline's id prefixes).
-pub const SMOKE_GROUPS: [&str; 7] = [
-    "fig8_basecase_sweep",
-    "fig_trace_record_vs_replay",
-    "fig_par_detect",
-    "fig_store",
-    "fig_session",
-    "fig_kn_adversarial",
-    "fig_freeze_par",
-];
-
-/// Maps a `--bench` name onto the baseline id prefix: bench *file* names
-/// (`fig8_basecase`, `fig_trace`, as listed in the baseline's `benches`
-/// array) resolve to their criterion group names; group names pass
-/// through.
-pub fn resolve_group(bench: &str) -> &str {
-    match bench {
-        "fig8_basecase" => "fig8_basecase_sweep",
-        "fig_trace" => "fig_trace_record_vs_replay",
-        other => other,
-    }
-}
-
-/// The same large seeded genprog traces `fig_par_detect` / `fig_store` /
-/// `fig_session` measure on.
-fn big_trace(general: bool, seed: u64) -> Trace {
-    let scale = std::env::var("FUTURERD_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<u32>().ok())
-        .unwrap_or(1)
-        .max(1);
-    let cfg = if general {
-        GenConfig {
-            max_depth: 9 + scale.ilog2(),
-            max_actions: 14,
-            num_locations: 96 * scale,
-            max_accesses: 12,
-            general_futures: true,
-            w_compute: 10,
-            w_get: 2,
-            w_create: 2,
-            w_spawn: 3,
-            w_sync: 1,
-        }
-    } else {
-        GenConfig {
-            max_depth: 7 + scale.ilog2(),
-            max_actions: 10,
-            num_locations: 64 * scale,
-            max_accesses: 6,
-            ..GenConfig::structured()
-        }
-    };
-    let (trace, _) = record_spec(&generate_program(&cfg, seed));
-    trace
-}
-
-/// Times `kernel` with `samples` samples (after one calibrating warmup
-/// iteration) and folds the per-iteration times into a [`BenchResult`].
-/// Sub-50µs kernels get multiple iterations per sample so the smoke
-/// numbers measure the kernel, not the timer.
-fn measure(id: &str, samples: u32, mut kernel: impl FnMut() -> u64) -> BenchResult {
-    let warmup = Instant::now();
-    black_box(kernel());
-    let warmup_ns = u64::try_from(warmup.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let iters = (50_000 / warmup_ns.max(1)).clamp(1, 200) as u32;
-    let samples = samples.max(1);
-    let mut times = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(kernel());
-        }
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        times.push((ns / u64::from(iters)).max(1));
-    }
-    let total: u64 = times.iter().sum();
-    BenchResult {
-        id: id.to_string(),
-        mean_ns: (total / u64::from(samples)).max(1),
-        min_ns: *times.iter().min().unwrap(),
-        max_ns: *times.iter().max().unwrap(),
-        samples,
-        iters_per_sample: iters,
-    }
-}
-
-/// Re-measures the smoke subset of one bench group. Each kernel is the
-/// measured routine of the corresponding criterion bench (same seeds,
-/// same traces); the subset per group is fixed and representative, not
-/// exhaustive — [`smoke_results`] logs the coverage.
-fn smoke_group(group: &str, samples: u32) -> Vec<BenchResult> {
-    let m = |id: String, kernel: &mut dyn FnMut() -> u64| measure(&id, samples, &mut *kernel);
-    match group {
-        "fig8_basecase_sweep" => {
-            let params = bench_params(WorkloadKind::Lcs).with_base(32);
-            [
-                (Algorithm::MultiBags, "multibags"),
-                (Algorithm::MultiBagsPlus, "multibags_plus"),
-            ]
-            .into_iter()
-            .map(|(alg, label)| {
-                m(format!("{group}/lcs_B32/{label}"), &mut || {
-                    run_config(
-                        WorkloadKind::Lcs,
-                        FutureMode::Structured,
-                        alg,
-                        Config::Reachability,
-                        &params,
-                    )
-                    .1
-                })
-            })
-            .collect()
-        }
-        "fig_trace_record_vs_replay" => {
-            let params = bench_params(WorkloadKind::Lcs);
-            let record = || {
-                let (recorder, _) = run_workload(
-                    WorkloadKind::Lcs,
-                    FutureMode::Structured,
-                    &params,
-                    TraceRecorder::new(),
-                );
-                recorder.into_trace()
-            };
-            let trace = record();
-            let bytes = trace.to_bytes();
-            vec![
-                m(format!("{group}/lcs/record"), &mut || record().len() as u64),
-                m(format!("{group}/lcs/replay"), &mut || {
-                    replay_detect_unchecked(&trace, ReplayAlgorithm::MultiBags).race_count() as u64
-                }),
-                m(format!("{group}/lcs/encode"), &mut || {
-                    trace.to_bytes().len() as u64
-                }),
-                m(format!("{group}/lcs/decode"), &mut || {
-                    Trace::from_bytes(&bytes).expect("own encoding").len() as u64
-                }),
-            ]
-        }
-        "fig_par_detect" => {
-            let trace = big_trace(false, 0xf19);
-            let algorithm = ReplayAlgorithm::MultiBags;
-            vec![
-                m(format!("{group}/multibags/seq"), &mut || {
-                    replay_detect_unchecked(&trace, algorithm).race_count() as u64
-                }),
-                m(format!("{group}/multibags/freeze"), &mut || {
-                    ReachIndex::freeze(&trace, algorithm)
-                        .expect("canonical trace")
-                        .expect("freezable algorithm")
-                        .num_attached_sets() as u64
-                }),
-                m(format!("{group}/multibags/par/P2"), &mut || {
-                    par_replay_detect(&trace, algorithm, 2)
-                        .expect("canonical trace")
-                        .race_count() as u64
-                }),
-            ]
-        }
-        "fig_store" => {
-            let trace = big_trace(false, 0xf19);
-            let algorithm = ReplayAlgorithm::MultiBags;
-            let dir =
-                std::env::temp_dir().join(format!("futurerd-regress-store-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            let mut store = Store::open(&dir).expect("store opens");
-            store.put_trace("t", &trace).expect("trace stores");
-            futurerd::Config::new()
-                .algorithm(algorithm.into())
-                .replay_stored(&mut store, "t")
-                .expect("cold detect");
-            let sidecar_bytes =
-                std::fs::read(store.sidecar_path("t", algorithm)).expect("sidecar written");
-            let results = vec![
-                m(format!("{group}/multibags/freeze"), &mut || {
-                    let mut fz = IncrementalFreezer::new(algorithm).expect("freezable");
-                    fz.extend(trace.events());
-                    fz.accesses().len() as u64
-                }),
-                m(format!("{group}/multibags/warm_load"), &mut || {
-                    let sidecar = decode_sidecar(&sidecar_bytes).expect("valid sidecar");
-                    let fz = IncrementalFreezer::from_raw(sidecar.freeze).expect("valid state");
-                    let index = fz.snapshot_index();
-                    fz.accesses().len() as u64 + index.num_attached_sets() as u64
-                }),
-            ];
-            drop(store);
-            std::fs::remove_dir_all(&dir).ok();
-            results
-        }
-        "fig_session" => {
-            let trace = big_trace(false, 0xf19);
-            let config = futurerd::Config::new().algorithm(futurerd::Algorithm::MultiBags);
-            let chunks = 8usize;
-            let chunk_len = trace.len().div_ceil(chunks);
-            vec![
-                m(format!("{group}/multibags/one_shot"), &mut || {
-                    config.replay(&trace).expect("canonical").race_count() as u64
-                }),
-                m(
-                    format!("{group}/multibags/session_follow_{chunks}"),
-                    &mut || {
-                        let mut session = config.session();
-                        let mut races = 0;
-                        for chunk in trace.events().chunks(chunk_len) {
-                            session.ingest(chunk).expect("canonical prefix");
-                            races = session.report().expect("prefix reports").race_count();
-                        }
-                        races as u64
-                    },
-                ),
-            ]
-        }
-        "fig_kn_adversarial" => {
-            let program = adversarial_kn(64, 0xbead);
-            let (trace, _) = record_spec(&program.spec);
-            vec![
-                m(format!("{group}/n64/multibags"), &mut || {
-                    replay_detect_unchecked(&trace, ReplayAlgorithm::MultiBags).race_count() as u64
-                }),
-                m(format!("{group}/n64/multibags_plus"), &mut || {
-                    replay_detect_unchecked(&trace, ReplayAlgorithm::MultiBagsPlus).race_count()
-                        as u64
-                }),
-                m(format!("{group}/n64/freeze_seq"), &mut || {
-                    ReachIndex::freeze(&trace, ReplayAlgorithm::MultiBagsPlus)
-                        .expect("canonical trace")
-                        .expect("freezable algorithm")
-                        .num_attached_sets() as u64
-                }),
-            ]
-        }
-        "fig_freeze_par" => {
-            let scale = std::env::var("FUTURERD_SCALE")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(1)
-                .max(1);
-            let n = 64 * scale;
-            let program = adversarial_kn(n, 0xfeed);
-            let (trace, _) = record_spec(&program.spec);
-            let algorithm = ReplayAlgorithm::MultiBagsPlus;
-            let pool = futurerd::ThreadPool::shared(2);
-            vec![
-                m(format!("{group}/n{n}/seq"), &mut || {
-                    ReachIndex::freeze(&trace, algorithm)
-                        .expect("canonical trace")
-                        .expect("freezable algorithm")
-                        .num_attached_sets() as u64
-                }),
-                m(format!("{group}/n{n}/assist/P2"), &mut || {
-                    let executor = futurerd::PoolExecutor(&pool);
-                    let assist = FreezeAssist::new(2, &executor);
-                    ReachIndex::freeze_assisted(&trace, algorithm, &assist)
-                        .expect("canonical trace")
-                        .expect("freezable algorithm")
-                        .num_attached_sets() as u64
-                }),
-            ]
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Runs the smoke subset of every group (or just `filter`'s group) and
+/// Runs the smoke rows of `table` (those `filter` selects, when given) and
 /// returns the measured results. `log` receives one coverage line per
-/// group so partial coverage is visible, never silent.
+/// bench group so partial coverage is visible, never silent.
 pub fn smoke_results(
+    table: &Table,
     filter: Option<&str>,
     samples: u32,
     mut log: impl FnMut(&str),
 ) -> Vec<BenchResult> {
-    let wanted = filter.map(resolve_group);
+    let wanted = |row: &Row| row.smoke && filter.is_none_or(|f| row.matches(f));
     let mut results = Vec::new();
-    for group in SMOKE_GROUPS {
-        if wanted.is_some_and(|w| w != group) {
-            continue;
+    // (group, ids, time): each row's time, its cell's setup included,
+    // counts towards the group of its id.
+    let mut groups: Vec<(String, usize, Duration)> = Vec::new();
+    let mut mark = Instant::now();
+    table.run(wanted, &Sampling::smoke(samples), |result| {
+        let group = result.id.split('/').next().unwrap_or_default();
+        let elapsed = mark.elapsed();
+        match groups.last_mut() {
+            Some((last, ids, time)) if last == group => {
+                *ids += 1;
+                *time += elapsed;
+            }
+            _ => groups.push((group.to_string(), 1, elapsed)),
         }
-        let start = Instant::now();
-        let rows = smoke_group(group, samples);
-        log(&format!(
-            "{group}: {} smoke id(s) in {:.2?}",
-            rows.len(),
-            start.elapsed()
-        ));
-        results.extend(rows);
+        results.push(result);
+        mark = Instant::now();
+    });
+    for (group, ids, time) in groups {
+        log(&format!("{group}: {ids} smoke id(s) in {time:.2?}"));
     }
     results
 }
@@ -639,7 +402,7 @@ mod tests {
     #[test]
     fn results_doc_round_trips_through_the_parser() {
         let rows = vec![result("g/a/x", 1000, 900, 1100), result("g/b/y", 5, 4, 6)];
-        let doc = format_results_doc(&rows, "test doc");
+        let doc = format_results_doc(&rows, "test doc", true);
         let dir = std::env::temp_dir().join(format!("futurerd-regress-doc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.json");
@@ -656,7 +419,7 @@ mod tests {
             result("g/b/y", 5, 4, 6),
             result("g/a/x", 2000, 1900, 2100),
         ];
-        let doc = format_results_doc(&rows, "test doc");
+        let doc = format_results_doc(&rows, "test doc", true);
         let dir = std::env::temp_dir().join(format!("futurerd-regress-dup-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.json");
@@ -667,10 +430,10 @@ mod tests {
     }
 
     #[test]
-    fn group_aliases_resolve() {
-        assert_eq!(resolve_group("fig8_basecase"), "fig8_basecase_sweep");
-        assert_eq!(resolve_group("fig_trace"), "fig_trace_record_vs_replay");
-        assert_eq!(resolve_group("fig_session"), "fig_session");
+    fn recorded_dates_are_utc_calendar_dates() {
+        assert_eq!(utc_date(0), "1970-01-01");
+        assert_eq!(utc_date(951_782_400), "2000-02-29");
+        assert_eq!(utc_date(1_800_000_000), "2027-01-15");
     }
 
     #[test]

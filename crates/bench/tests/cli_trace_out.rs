@@ -10,7 +10,7 @@
 use futurerd_bench::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn trace_bin() -> &'static str {
     env!("CARGO_BIN_EXE_futurerd-trace")
@@ -282,5 +282,27 @@ fn observed_single_thread_replay_runs_the_same_single_pass() {
         "verdict line changed under --metrics-out"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `futurerd-trace profile t.trace | head -2`: a reader that goes away
+/// ends the run quietly (status 0, no panic) instead of panicking on the
+/// broken pipe.
+#[test]
+fn profile_exits_quietly_when_stdout_closes() {
+    let dir = temp_dir("pipe");
+    let trace = record_fixture(&dir);
+    let mut child = Command::new(trace_bin())
+        .args(["profile", trace.to_str().unwrap(), "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn futurerd-trace");
+    // Close the read end before the child has loaded the trace.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for futurerd-trace");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
