@@ -27,7 +27,7 @@
 //!
 //! `fuzz` generates seeded racy programs (see `futurerd_workloads::fuzzgen`)
 //! and runs every detector through every serving path — sequential replay,
-//! the sharded parallel engine, streaming sessions under random chunkings,
+//! one-shot parallel replay, streaming sessions under random chunkings,
 //! and persistent-store round-trips — against the ground-truth oracle. Every
 //! divergence is classified: known approximations (the fork-join baseline on
 //! futures, MultiBags on multi-touch traces) are quantified, anything else
@@ -76,10 +76,13 @@ fn usage() -> ! {
          \n\
          --racy uses the workload's seeded-race variant (lcs only): the\n\
          recorded trace then carries a real determinacy race to detect.\n\
-         --threads runs detection through the sharded parallel engine\n\
-         (MultiBags / MultiBags+; the report is identical at any thread\n\
-         count). Pass 1 joins in: idle workers assist the freeze's\n\
-         closure stamping, leaving a byte-identical frozen index.\n\
+         --threads N runs detection on N workers (MultiBags / MultiBags+;\n\
+         the report is identical at any thread count). One-shot replay\n\
+         runs N single passes over the trace, each with its own\n\
+         reachability structure and the access history of every N-th\n\
+         granule; nothing is frozen. follow and batch still freeze\n\
+         reachability for the two-pass engine, with idle workers assisting\n\
+         the closure stamping.\n\
          batch treats <dir> as a futurerd-store detection store: every\n\
          *.trace in it is replayed under the selected freezable algorithms,\n\
          one stored-session report per job, served warm from its FRDIDX\n\
@@ -108,10 +111,11 @@ fn usage() -> ! {
          --timeline prints the journal as an aligned text timeline.\n\
          Observing never reroutes: replay at P=1 runs the same single pass\n\
          with or without these flags, attributed as validate and detect.\n\
-         profile replays <trace> through the sharded engine at P=1 and P=N\n\
-         (N from --threads, else FUTURERD_PAR_THREADS, else the machine's\n\
-         parallelism) and prints the per-stage time breakdown: validate,\n\
-         freeze (with assist dispatch/stamp detail), detect, merge vs wall\n\
+         profile replays <trace> at P=1 (the single pass) and P=N (N single\n\
+         passes; N from --threads, else FUTURERD_PAR_THREADS, else the\n\
+         machine's parallelism), 5 runs each in alternation, and prints\n\
+         each stage's median time with its min and max over the runs:\n\
+         validate, detect (detect.partition per worker), merge vs wall\n\
          clock. --json emits one machine-readable JSON line per profiled\n\
          thread count instead of the tables.\n\
          lint runs the workspace invariant linter (token-level, no rustc):\n\
@@ -674,7 +678,7 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         }
         let start = Instant::now();
         // The facade's one-shot replay: the single pass at P=1 (recording
-        // or not — observing never reroutes), the sharded engine above it.
+        // or not — observing never reroutes), P single passes above it.
         let sharded = opts.threads > 1 && algorithm.freezable();
         let config = futurerd::Config::new()
             .algorithm(algorithm.into())
@@ -690,11 +694,11 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         verdict_line(algorithm, report, start.elapsed());
         if sharded {
             outln!(
-                "              (sharded parallel engine, P={})",
+                "              ({} single passes, granules dealt round-robin)",
                 opts.threads
             );
         } else if opts.threads > 1 {
-            outln!("              (no frozen reachability form: replayed sequentially)");
+            outln!("              (not a paper algorithm: replayed in one single pass)");
         }
         if report.is_approximate() {
             outln!("              (approximate verdict: fork-join baseline on a futures trace)");
@@ -1028,36 +1032,100 @@ fn cmd_fuzz(opts: &Options) -> ExitCode {
     }
 }
 
-/// Prints one profile table: every recorded stage with count / total /
-/// mean / max, plus how much of the wall clock the four disjoint
-/// coordinator stages account for.
-fn print_profile(threads: usize, wall: Duration, snapshot: &futurerd_obs::Snapshot) {
-    outln!("P={threads}: wall {wall:.2?}");
+/// Runs of each profiled configuration; the tables print medians over
+/// them, because one run of a few milliseconds is one noisy sample.
+const PROFILE_RUNS: usize = 5;
+
+/// The disjoint top-level coordinator stages. Nested spans
+/// (freeze.assist.*, detect.ranges, detect.partition) overlap them and are
+/// detail, not additional time; their sum is the pipeline's critical-path
+/// accounting and should approach wall clock.
+const TOP_STAGES: [&str; 4] = ["validate", "freeze", "detect", "merge"];
+
+/// One profiled configuration over its runs: each run's wall clock, its
+/// accounted top-level time, and every stage's span count and total.
+#[derive(Default)]
+struct ProfilePoint {
+    walls: Vec<u64>,
+    accounted: Vec<u64>,
+    stages: std::collections::BTreeMap<String, Vec<(u64, u64)>>,
+}
+
+impl ProfilePoint {
+    fn record(&mut self, wall: Duration, snapshot: &futurerd_obs::Snapshot) {
+        self.walls
+            .push(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX));
+        self.accounted.push(snapshot.total_ns_of(&TOP_STAGES));
+        for row in &snapshot.stages {
+            self.stages
+                .entry(row.name.clone())
+                .or_default()
+                .push((row.stats.count, row.stats.total_ns));
+        }
+    }
+
+    /// Every stage with its median span count and the median, lowest and
+    /// highest of its per-run totals, in name order.
+    fn stage_medians(&self) -> Vec<(&str, u64, u64, u64, u64)> {
+        self.stages
+            .iter()
+            .map(|(name, runs)| {
+                let counts: Vec<u64> = runs.iter().map(|&(count, _)| count).collect();
+                let totals: Vec<u64> = runs.iter().map(|&(_, total)| total).collect();
+                let (min, max) = (totals.iter().min(), totals.iter().max());
+                (
+                    name.as_str(),
+                    median_u64(&counts),
+                    median_u64(&totals),
+                    min.copied().unwrap_or(0),
+                    max.copied().unwrap_or(0),
+                )
+            })
+            .collect()
+    }
+}
+
+/// The median of `values` (the upper one of an even count); 0 when empty.
+fn median_u64(values: &[u64]) -> u64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    sorted.get(sorted.len() / 2).copied().unwrap_or(0)
+}
+
+/// Prints one profile table: every recorded stage with its span count and
+/// the median / min / max of its per-run totals, plus how much of the
+/// median wall clock the four disjoint coordinator stages account for.
+fn print_profile(threads: usize, point: &ProfilePoint) {
+    let wall_ns = median_u64(&point.walls);
+    let path = if threads == 1 {
+        "the single pass".to_string()
+    } else {
+        format!("{threads} single passes, granules dealt round-robin")
+    };
+    outln!(
+        "P={threads} ({path}): median wall {} over {} runs",
+        futurerd_obs::fmt_duration_ns(wall_ns),
+        point.walls.len()
+    );
     outln!(
         "  {:<24} {:>7} {:>12} {:>12} {:>12}",
         "stage",
         "count",
-        "total",
-        "mean",
+        "median",
+        "min",
         "max"
     );
-    for row in &snapshot.stages {
+    for (name, count, median, min, max) in point.stage_medians() {
         outln!(
             "  {:<24} {:>7} {:>12} {:>12} {:>12}",
-            row.name,
-            row.stats.count,
-            futurerd_obs::fmt_duration_ns(row.stats.total_ns),
-            futurerd_obs::fmt_duration_ns(row.stats.avg_ns()),
-            futurerd_obs::fmt_duration_ns(row.stats.max_ns),
+            name,
+            count,
+            futurerd_obs::fmt_duration_ns(median),
+            futurerd_obs::fmt_duration_ns(min),
+            futurerd_obs::fmt_duration_ns(max),
         );
     }
-    // "validate", "freeze", "detect" and "merge" are the disjoint top-level
-    // coordinator stages — nested spans (freeze.assist.*, detect.ranges,
-    // detect.partition) overlap them and are detail, not additional time.
-    // Their sum is the pipeline's critical-path accounting and should
-    // approach wall clock.
-    let accounted = snapshot.total_ns_of(&["validate", "freeze", "detect", "merge"]);
-    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+    let accounted = median_u64(&point.accounted);
     let pct = if wall_ns == 0 {
         100.0
     } else {
@@ -1070,30 +1138,32 @@ fn print_profile(threads: usize, wall: Duration, snapshot: &futurerd_obs::Snapsh
     );
 }
 
-/// Renders one profiled point as a machine-readable JSON line (stages in
-/// snapshot — name-sorted — order).
-fn profile_json_line(threads: usize, wall: Duration, snapshot: &futurerd_obs::Snapshot) -> String {
-    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-    let accounted = snapshot.total_ns_of(&["validate", "freeze", "detect", "merge"]);
-    let stages: Vec<String> = snapshot
-        .stages
-        .iter()
-        .map(|row| {
+/// Renders one profiled configuration as a machine-readable JSON line
+/// (stages in name order; `total_ns` is the median per-run total and
+/// `min_ns` / `max_ns` the lowest and highest).
+fn profile_json_line(threads: usize, point: &ProfilePoint) -> String {
+    let stages: Vec<String> = point
+        .stage_medians()
+        .into_iter()
+        .map(|(name, count, median, min, max)| {
             format!(
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                row.name, row.stats.count, row.stats.total_ns, row.stats.min_ns, row.stats.max_ns
+                "{{\"name\":\"{name}\",\"count\":{count},\"total_ns\":{median},\"min_ns\":{min},\"max_ns\":{max}}}"
             )
         })
         .collect();
     format!(
-        "{{\"threads\":{threads},\"wall_ns\":{wall_ns},\"accounted_ns\":{accounted},\"stages\":[{}]}}",
+        "{{\"threads\":{threads},\"runs\":{},\"wall_ns\":{},\"accounted_ns\":{},\"stages\":[{}]}}",
+        point.walls.len(),
+        median_u64(&point.walls),
+        median_u64(&point.accounted),
         stages.join(",")
     )
 }
 
-/// Replays one trace through the sharded engine at P=1 and P=N with the
-/// span recorder on, printing the stage-time breakdown for each run —
-/// as text tables, or with `--json` as one JSON line per thread count.
+/// Replays one trace at P=1 (the single pass) and P=N (one-shot parallel
+/// replay) with the span recorder on, [`PROFILE_RUNS`] times each in
+/// alternation, and prints the median stage-time breakdown for each — as
+/// text tables, or with `--json` as one JSON line per thread count.
 fn cmd_profile(args: &[String]) -> ExitCode {
     let Some((path, rest)) = args.split_first() else {
         eprintln!("profile needs a trace file");
@@ -1108,7 +1178,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         None | Some("multibags") => ReplayAlgorithm::MultiBags,
         Some("multibags+") => ReplayAlgorithm::MultiBagsPlus,
         Some(other) => {
-            eprintln!("profile drives the freezable algorithms only (got '{other}')");
+            eprintln!("profile drives the paper's algorithms only (got '{other}')");
             usage()
         }
     };
@@ -1143,35 +1213,39 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         }
     };
     status(format!(
-        "{path}: {} events; profiling {} at P=1 and P={n}",
+        "{path}: {} events; profiling {} at P=1 and P={n}, {PROFILE_RUNS} runs each",
         trace.len(),
         algorithm.name(),
     ));
     status(loaded);
     futurerd_obs::set_enabled(true);
     enable_observability(&opts);
-    let points: &[usize] = if n == 1 { &[1] } else { &[1, n] };
+    let threads: &[usize] = if n == 1 { &[1] } else { &[1, n] };
+    let mut points: Vec<ProfilePoint> = threads.iter().map(|_| ProfilePoint::default()).collect();
     let mut race_counts = Vec::new();
-    for &threads in points {
-        futurerd_obs::reset();
-        let start = Instant::now();
-        let report = match par_replay_detect(&trace, algorithm, threads) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("replay at P={threads} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let wall = start.elapsed();
-        if opts.json {
-            outln!(
-                "{}",
-                profile_json_line(threads, wall, &futurerd_obs::snapshot())
-            );
-        } else {
-            print_profile(threads, wall, &futurerd_obs::snapshot());
+    // Alternate the configurations run by run, so a drifting host slows
+    // both alike.
+    for _ in 0..PROFILE_RUNS {
+        for (&threads, point) in threads.iter().zip(&mut points) {
+            futurerd_obs::reset();
+            let start = Instant::now();
+            let report = match par_replay_detect(&trace, algorithm, threads) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("replay at P={threads} failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            point.record(start.elapsed(), &futurerd_obs::snapshot());
+            race_counts.push(report.race_count());
         }
-        race_counts.push(report.race_count());
+    }
+    for (&threads, point) in threads.iter().zip(&points) {
+        if opts.json {
+            outln!("{}", profile_json_line(threads, point));
+        } else {
+            print_profile(threads, point);
+        }
     }
     if race_counts.windows(2).any(|w| w[0] != w[1]) {
         eprintln!("MISMATCH: verdict changed with thread count (bug)");
@@ -1188,8 +1262,8 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             race_counts[0]
         );
     }
-    // profile resets the recorders between thread counts, so the journal
-    // emitted here covers the last profiled point (P=n).
+    // profile resets the recorders before every run, so the journal
+    // emitted here covers the last run (P=n).
     if !emit_observability(&opts) {
         return ExitCode::FAILURE;
     }

@@ -37,13 +37,20 @@ pub struct Sampling {
     /// Timed samples per row.
     pub samples: u32,
     /// Untimed single iterations run until this much time has passed
-    /// (always at least one); the slowest sets the iterations per sample.
+    /// (always at least one); the median sets the iterations per sample.
     pub warm_up: Duration,
     /// Wall-clock time one sample aims for.
     pub target: Duration,
+    /// Floor on the iterations of one sample.
+    pub min_iters: u32,
     /// Cap on the iterations of one sample.
     pub max_iters: u32,
 }
+
+/// Iterations every smoke sample runs at least: a row faster than the
+/// 50 µs target would otherwise be timed over one or two calls, too few
+/// to average out a timer tick or a cold cache line.
+pub const SMOKE_MIN_ITERS: u32 = 10;
 
 impl Sampling {
     /// `cargo bench`: 10 samples of about 150 ms (a 1.5 s budget) after a
@@ -52,16 +59,19 @@ impl Sampling {
         samples: 10,
         warm_up: Duration::from_millis(300),
         target: Duration::from_millis(150),
+        min_iters: 1,
         max_iters: u32::MAX,
     };
 
-    /// `regress`: `samples` samples of about 50 µs, at most 200 iterations
-    /// each, after one warm-up iteration.
+    /// `regress`: `samples` samples of about 50 µs, at least
+    /// [`SMOKE_MIN_ITERS`] and at most 200 iterations each, after one
+    /// warm-up iteration.
     pub fn smoke(samples: u32) -> Sampling {
         Sampling {
             samples,
             warm_up: Duration::ZERO,
             target: Duration::from_micros(50),
+            min_iters: SMOKE_MIN_ITERS,
             max_iters: 200,
         }
     }
@@ -74,18 +84,27 @@ fn nanos(d: Duration) -> u64 {
 /// Times `kernel`: warms up, fits the iterations of one sample to the
 /// target, then folds `samples` samples of per-iteration times into a
 /// [`BenchResult`] (mean, fastest and slowest sample).
+///
+/// The fit divides the target by the median warm-up iteration, not the
+/// slowest: the first call is usually the slowest by far (cold caches,
+/// first allocations), and sizing from it leaves samples far short of
+/// the target.
 pub fn measure<O>(id: &str, sampling: &Sampling, mut kernel: impl FnMut() -> O) -> BenchResult {
     let warm_up = Instant::now();
-    let mut per_iter = 1;
+    let mut warm = Vec::new();
     loop {
         let start = Instant::now();
         black_box(kernel());
-        per_iter = per_iter.max(nanos(start.elapsed()));
+        warm.push(nanos(start.elapsed()).max(1));
         if warm_up.elapsed() >= sampling.warm_up {
             break;
         }
     }
-    let iters = (nanos(sampling.target) / per_iter).clamp(1, u64::from(sampling.max_iters.max(1)));
+    warm.sort_unstable();
+    let per_iter = warm[warm.len() / 2];
+    let iters = (nanos(sampling.target) / per_iter)
+        .max(u64::from(sampling.min_iters))
+        .clamp(1, u64::from(sampling.max_iters.max(1)));
     let samples = sampling.samples.max(1);
     let mut times = Vec::with_capacity(samples as usize);
     for _ in 0..samples {
@@ -508,9 +527,11 @@ fn fig_trace(cells: &mut Cells) {
     }
 }
 
-/// Parallel detection engine costs on the big traces: sequential
-/// replay-detect (`seq`), pass 1 alone (`freeze`, the sequential fraction
-/// every parallel run pays) and the two-pass engine at P ∈ {1, 2, 4, 8}.
+/// Parallel detection costs on the big traces: the single pass without
+/// validation (`seq`), the two-pass engine's freeze alone (`freeze`, what
+/// sessions and the store pay before detecting) and one-shot parallel
+/// replay, validation included, at P ∈ {1, 2, 4, 8} (P=1 is the single
+/// pass).
 fn fig_par_detect(cells: &mut Cells) {
     for (algorithm, general, seed) in BIG_CELLS {
         let prefix = format!("fig_par_detect/{}", algorithm.name());

@@ -183,7 +183,12 @@ fn replay_trace_out_is_valid_chrome_json_and_reconciles_with_metrics() {
         );
     }
     let journal = chrome_stage_totals(&doc);
-    for stage in ["validate", "freeze", "detect", "merge"] {
+    // A one-shot replay at P=2 runs two single passes: nothing freezes.
+    assert!(
+        !journal.contains_key("freeze") && !aggregate.contains_key("freeze"),
+        "a one-shot replay must not freeze: {journal:?}"
+    );
+    for stage in ["validate", "detect", "merge"] {
         let (journal_ns, journal_count) = journal
             .get(stage)
             .copied()

@@ -1,13 +1,13 @@
 //! The benchmark table (`futurerd_bench::kernels`): its ids, filters and
 //! smoke rows, the measure loop, and the results document a sweep writes.
-//! Only the measure-loop test runs a kernel (a counter); the others list
-//! ids, which runs no setup.
+//! Only the measure-loop tests run a kernel (a counter or a busy-wait);
+//! the others list ids, which runs no setup.
 
 use futurerd_bench::json::Json;
-use futurerd_bench::kernels::{measure, Row, Sampling, Table, SWEEP_NOTE};
+use futurerd_bench::kernels::{measure, Row, Sampling, Table, SMOKE_MIN_ITERS, SWEEP_NOTE};
 use futurerd_bench::regress::{format_results_doc, load_results, BenchResult};
 use std::collections::{BTreeSet, HashSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The ids `filter` selects, in table order. Runs no setup.
 fn ids(filter: &str) -> Vec<String> {
@@ -35,6 +35,7 @@ fn measure_loop_makes_samples_times_iters_calls() {
         samples: 3,
         warm_up: Duration::ZERO,
         target: Duration::from_secs(1),
+        min_iters: 1,
         max_iters: 4,
     };
     let mut calls = 0u32;
@@ -51,6 +52,51 @@ fn measure_loop_makes_samples_times_iters_calls() {
     assert!(result.max_ns >= 200_000, "{result:?}");
     assert!(result.min_ns < 200_000, "{result:?}");
     assert!(result.min_ns <= result.mean_ns && result.mean_ns <= result.max_ns);
+}
+
+/// Busy-waits `d`: a kernel of known cost that no timer slack stretches.
+fn spin(d: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+#[test]
+fn samples_are_sized_from_the_median_warm_up_call() {
+    let steady = Duration::from_micros(50);
+    let target = Duration::from_millis(5);
+    let sampling = Sampling {
+        samples: 3,
+        warm_up: Duration::from_millis(20),
+        target,
+        min_iters: 1,
+        max_iters: u32::MAX,
+    };
+    let mut first = true;
+    let result = measure("unit/cold_first_call", &sampling, || {
+        // The first call costs 100 times the steady one.
+        spin(if std::mem::take(&mut first) {
+            steady * 100
+        } else {
+            steady
+        });
+    });
+    // The fastest sample is the one host noise disturbed least.
+    let sample = Duration::from_nanos(result.min_ns * u64::from(result.iters_per_sample));
+    assert!(
+        target / 2 <= sample && sample <= target * 2,
+        "a {sample:?} sample against a {target:?} target: {result:?}"
+    );
+}
+
+#[test]
+fn smoke_samples_time_fast_rows_over_several_calls() {
+    let result = measure("unit/fast", &Sampling::smoke(2), || {
+        spin(Duration::from_micros(25));
+    });
+    assert!(result.iters_per_sample >= SMOKE_MIN_ITERS, "{result:?}");
+    assert!(result.iters_per_sample >= 10, "{result:?}");
 }
 
 #[test]

@@ -31,9 +31,10 @@
 //! [`Trace`](futurerd_dag::trace::Trace) through those same observers, so a
 //! program recorded once can be detected on offline, repeatedly, by every
 //! algorithm. The [`parallel`] module shards that offline detection across
-//! threads: reachability is frozen into an immutable index in one pass and
-//! the granule space is partitioned across workers in a second, with a
-//! deterministic merge making the result identical to sequential replay.
+//! threads by granule: a one-shot replay runs one single pass per worker,
+//! each keeping every `P`-th granule, and sessions freeze reachability into
+//! an immutable index and partition the granule space in a second pass.
+//! A deterministic merge makes the result identical to sequential replay.
 //!
 //! ## Quick start
 //!

@@ -1,33 +1,47 @@
-//! The parallel detection engine: two-pass, sharded, deterministic.
+//! The parallel detection engines: one-shot replicas, and the two-pass
+//! engine that sessions and the store resume.
 //!
 //! Sequential replay ([`crate::replay`]) interleaves two very different
 //! kinds of work: maintaining the *reachability structure* (driven by the
 //! parallel-construct events, inherently ordered) and maintaining the
 //! *access history* plus race checks (driven by the memory accesses, which
-//! dominate real traces and are independent across granules). This engine
-//! splits them:
+//! dominate real traces and are independent across granules). Both engines
+//! shard the second by granule and deal with the first in different ways.
 //!
-//! 1. **Pass 1 — freeze** ([`ReachIndex::freeze`]): replay the trace once
-//!    through the reachability algorithm only, recording each bag's tag and
-//!    merge *timeline* instead of its final state, and — for MultiBags+ —
-//!    the earliest-connection closure of the attached-set dag `R`. The
-//!    result answers `precedes(u, v)` *at any trace position* read-only,
-//!    with no interior mutability, so it is shared by every worker. The same
-//!    replay extracts the granule-level access stream.
-//! 2. **Pass 2 — shard** ([`ShadowPartition`]): split the granule space into
-//!    at most `P` contiguous ranges balanced by access count (one counting
-//!    pass, [`partition_ranges`]), and let each worker scan the shared
-//!    access stream in place, feeding the accesses of its range through a
-//!    private shadow-memory partition that queries the shared frozen index
-//!    ([`run_partition`]). A [`PartitionSet`] keeps the partitions between
-//!    reports on a growing stream, so each report scans only the appended
-//!    accesses.
-//! 3. **Merge** : the per-partition witnesses carry the trace position of
-//!    the access that exposed them; sorting by position rebuilds exactly the
-//!    sequential report — [`par_replay_detect`] returns a [`RaceReport`]
-//!    identical to [`replay_detect`](crate::replay::replay_detect) at every
-//!    thread count, which the determinism property tests assert event-for-
-//!    event over seeded generated programs.
+//! **One-shot replay** ([`par_replay_detect`], [`par_replay_with`]) runs `P`
+//! copies of the paper's single pass: every worker replays the whole
+//! validated event stream through its own reachability structure and keeps
+//! access history only for the granules dealt to it round-robin
+//! (`g mod P`). Reachability costs little next to the access history, so
+//! replicating it is cheaper than freezing it, and no pass over the
+//! accesses comes before detection.
+//!
+//! **The two-pass engine** serves sessions and the persistent store, which
+//! resume detection on a growing trace and persist its state:
+//!
+//! 1. **Pass 1 — freeze** ([`ReachIndex::freeze`], [`IncrementalFreezer`]):
+//!    replay the trace once through the reachability algorithm only,
+//!    recording each bag's tag and merge *timeline* instead of its final
+//!    state, and — for MultiBags+ — the earliest-connection closure of the
+//!    attached-set dag `R`. The result answers `precedes(u, v)` *at any
+//!    trace position* read-only, with no interior mutability, so it is
+//!    shared by every worker. The same replay extracts the granule-level
+//!    access stream.
+//! 2. **Pass 2 — shard** ([`ShadowPartition`]): split the granule space
+//!    into at most `P` contiguous ranges balanced by access count (one
+//!    counting pass, [`partition_ranges`]), and let each worker scan the
+//!    shared access stream in place, feeding the accesses of its range
+//!    through a private shadow-memory partition that queries the shared
+//!    frozen index ([`run_partition`]). A [`PartitionSet`] keeps the
+//!    partitions between reports on a growing stream, so each report scans
+//!    only the appended accesses.
+//!
+//! **Merge**: the workers' witnesses carry the trace position of the access
+//! that exposed them; sorting by position rebuilds exactly the sequential
+//! report. Both engines return a [`RaceReport`] identical to
+//! [`replay_detect`](crate::replay::replay_detect) at every thread count,
+//! which the determinism property tests assert event-for-event over seeded
+//! generated programs.
 //!
 //! Workers are plain closures handed to a [`DetectExecutor`]; the default
 //! [`StdExecutor`] uses scoped OS threads, and `futurerd`'s facade plugs the
@@ -36,6 +50,7 @@
 
 mod assist;
 mod freeze;
+mod oneshot;
 mod shard;
 
 pub use assist::{
@@ -47,20 +62,23 @@ pub use freeze::{
     RawIndexError, RawNsp, RawNspSet, ReachIndex, RAW_NONE,
 };
 pub use shard::{
-    bucket_accesses, incremental_outcomes, merge_outcomes, merge_outcomes_stats, partition_ranges,
-    run_partition, Advance, IncrementalOutcomes, PartitionOutcome, PartitionSet, ShadowPartition,
+    bucket_accesses, incremental_outcomes, merge_outcomes_stats, partition_ranges, run_partition,
+    Advance, IncrementalOutcomes, PartitionOutcome, PartitionSet, ShadowPartition,
     REBALANCE_DRIFT_FACTOR,
 };
 
 use crate::races::RaceReport;
+use crate::reachability::{MultiBags, MultiBagsPlus};
 use crate::replay::{replay_detect_unchecked, ReplayAlgorithm};
+use crate::stats::DetectorStats;
 use futurerd_dag::trace::{Trace, TraceCounts, TraceError};
 
 /// Runs a batch of independent detection workers to completion.
 ///
-/// The engine hands each granule partition to one task; implementations
-/// decide where the tasks run. All tasks must have finished when `run_batch`
-/// returns — the engine merges partition results immediately afterwards.
+/// The engines hand each worker (a one-shot replica or a pass-2 partition)
+/// to one task; implementations decide where the tasks run. All tasks must
+/// have finished when `run_batch` returns — the engine merges their
+/// results immediately afterwards.
 pub trait DetectExecutor {
     /// Executes every task, potentially in parallel, and waits for all of
     /// them.
@@ -98,14 +116,17 @@ impl DetectExecutor for StdExecutor {
     }
 }
 
-/// Replays a validated trace through the two-pass parallel detection engine
-/// with up to `threads` workers and returns a [`RaceReport`] identical to
-/// sequential [`replay_detect`](crate::replay::replay_detect).
+/// Replays a validated trace with up to `threads` detection workers and
+/// returns a [`RaceReport`] identical to sequential
+/// [`replay_detect`](crate::replay::replay_detect).
 ///
-/// Only the paper's algorithms have a frozen reachability form; for
-/// [`ReplayAlgorithm::SpBags`], [`ReplayAlgorithm::SpBagsConservative`] and
-/// [`ReplayAlgorithm::GraphOracle`] this falls back to sequential replay
-/// (the report is identical either way).
+/// For MultiBags and MultiBags+ at `threads > 1`, each of `threads`
+/// workers replays the whole trace through its own copy of the
+/// reachability structure and keeps the access history of every
+/// `threads`-th granule (see [`par_replay_with`]); nothing is frozen. One
+/// thread runs the paper's single pass. SP-Bags,
+/// [`ReplayAlgorithm::SpBagsConservative`] and the graph oracle always run
+/// the single pass (the report is identical either way).
 ///
 /// # Example
 ///
@@ -133,51 +154,68 @@ pub fn par_replay_detect(
     par_replay_detect_with(trace, algorithm, threads, &StdExecutor)
 }
 
-/// As [`par_replay_detect`], but both passes run on the given executor
-/// (e.g. the work-stealing pool of `futurerd-runtime`): pass 2's detection
-/// partitions through [`DetectExecutor::run_batch`], and pass 1's large
-/// closure stamping batches through [`AssistExecutor::assist`] when
-/// `threads > 1`. A thin wrapper over [`par_replay_outcomes_with`].
+/// As [`par_replay_detect`], but the workers run on the given executor
+/// (e.g. the work-stealing pool of `futurerd-runtime`). A thin wrapper over
+/// [`par_replay_with`].
 pub fn par_replay_detect_with(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
     threads: usize,
-    executor: &(impl DetectExecutor + AssistExecutor),
+    executor: &impl DetectExecutor,
 ) -> Result<RaceReport, TraceError> {
-    match par_replay_outcomes_with(trace, algorithm, threads, executor)? {
-        (_, Some(outcomes)) => Ok(merge_outcomes(outcomes)),
-        // No frozen form for this algorithm: sequential replay gives the
-        // same report by definition.
+    match par_replay_with(trace, algorithm, threads, executor)? {
+        (_, Some((report, _))) => Ok(report),
+        // Not a paper algorithm: the single pass, by definition the same
+        // report.
         (_, None) => Ok(replay_detect_unchecked(trace, algorithm)),
     }
 }
 
-/// The one-shot engine pipeline over a borrowed trace: validate, freeze
-/// (pass 1, moving the frozen state straight into the index) and sharded
-/// pass 2, returning the trace's totals and the per-partition outcomes
-/// (merge with [`merge_outcomes`] or [`merge_outcomes_stats`]).
+/// The one-shot pipeline over a borrowed trace: validate once, then detect
+/// with `threads` workers on `executor`, and return the trace's totals
+/// with the merged report and the summed access-history counters.
 ///
-/// The trace is never copied and no resumable freezer is kept: a one-shot
-/// request has nothing to resume. The outcomes are `None` for algorithms
-/// without a frozen form; the caller replays those sequentially.
-pub fn par_replay_outcomes_with(
+/// Each worker `w` replays every event of the trace in place through its
+/// own [`MultiBags`] or [`MultiBagsPlus`]. Construct events go to the
+/// structure; a `Read` or `Write` applies only its granules `g` with
+/// `g mod threads == w`, keeps each in slot `g div threads` of the
+/// worker's shadow table, and asks `precedes_current`, as the single pass
+/// does. The witnesses merge by trace position (the event index), then
+/// granule, as [`merge_outcomes_stats`] merges pass-2 partitions, so the
+/// report is byte-identical to the single pass. The counters equal the
+/// single pass's except `shadow_pages`, which sums the workers' tables.
+/// At one thread the single pass runs on the calling thread.
+///
+/// Nothing is frozen, copied or kept: a one-shot request has nothing to
+/// resume. The detection is `None` for algorithms other than MultiBags and
+/// MultiBags+; the caller replays those in a single pass.
+pub fn par_replay_with(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
     threads: usize,
-    executor: &(impl DetectExecutor + AssistExecutor),
-) -> Result<(TraceCounts, Option<Vec<PartitionOutcome>>), TraceError> {
+    executor: &impl DetectExecutor,
+) -> Result<(TraceCounts, Option<(RaceReport, DetectorStats)>), TraceError> {
     let counts = {
         let _span = futurerd_obs::Span::enter(futurerd_obs::names::VALIDATE);
         trace.validate()?
     };
-    let assist = (threads > 1).then(|| FreezeAssist::new(threads, executor));
-    let frozen = {
-        let _span = futurerd_obs::Span::enter(futurerd_obs::names::FREEZE);
-        freeze::freeze_with_accesses_assisted(trace, algorithm, assist.as_ref())
+    let events = trace.events();
+    let detected = match algorithm {
+        ReplayAlgorithm::MultiBags => Some(oneshot::detect_replicas(
+            events,
+            threads,
+            executor,
+            MultiBags::new,
+        )),
+        ReplayAlgorithm::MultiBagsPlus => Some(oneshot::detect_replicas(
+            events,
+            threads,
+            executor,
+            MultiBagsPlus::new,
+        )),
+        _ => None,
     };
-    let outcomes = frozen
-        .map(|(index, accesses)| detect_frozen_outcomes(&index, &accesses, threads, executor));
-    Ok((counts, outcomes))
+    Ok((counts, detected))
 }
 
 /// Pass 2 alone: sharded detection over an already-frozen index and its
@@ -185,7 +223,7 @@ pub fn par_replay_outcomes_with(
 /// which loads both from an `FRDIDX` sidecar instead of refreezing. Returns
 /// the per-partition outcomes, the form a store persists so that
 /// incremental re-detection can reuse outcomes for untouched granule
-/// ranges; [`merge_outcomes`] turns them into a report byte-identical to
+/// ranges; [`merge_outcomes_stats`] turns them into a report byte-identical to
 /// sequential replay at every thread count.
 ///
 /// One outcome per [`partition_ranges`] range, each equal to

@@ -17,20 +17,22 @@ use super::{DetectExecutor, ReachIndex};
 use crate::races::{AccessKind, Race, RaceReport};
 use crate::shadow::AccessHistory;
 use crate::stats::DetectorStats;
-use futurerd_dag::MemAddr;
+use futurerd_dag::{MemAddr, StrandId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
-/// A worker's private slice of the detection state: a contiguous granule
-/// range, its own shadow-memory table, and the races found so far.
+/// The Section 3 detection state of one worker: its shadow-memory table,
+/// the granules it has seen race, and their first witnesses.
 ///
-/// Built from the same two-level [`AccessHistory`] the sequential detector
-/// uses; granule indices stay global, so pages outside the partition's range
-/// are simply never allocated.
-#[derive(Debug)]
-pub struct ShadowPartition {
-    range: Range<u64>,
+/// Both engines drive it: a pass-2 partition ([`ShadowPartition`]) keys
+/// its table by the global granule and answers queries from the frozen
+/// index, and a one-shot worker (`super::oneshot`) keys it by the granule's
+/// slot among those dealt to it and answers from its own copy of the
+/// reachability structure. The query is the only difference, so it comes
+/// in as a closure.
+#[derive(Debug, Default)]
+pub(super) struct Shadow {
     history: AccessHistory,
     /// Granules already known racy (mirrors the first-witness-per-granule
     /// rule of [`RaceReport::record`]).
@@ -42,15 +44,127 @@ pub struct ShadowPartition {
     observations: u64,
 }
 
+impl Shadow {
+    /// Processes one granule-level access with the sequential detector's
+    /// read/write protocol. `slot` is where the table keeps `acc.granule`,
+    /// and `precedes(u)` answers whether strand `u` precedes the access;
+    /// accesses must arrive in trace order.
+    #[inline]
+    pub(super) fn apply(
+        &mut self,
+        slot: u64,
+        acc: &GranuleAccess,
+        mut precedes: impl FnMut(StrandId) -> bool,
+    ) {
+        let addr = MemAddr(acc.granule * MemAddr::GRANULARITY);
+        let observed = self.observations;
+        // Races are recorded as the checks find them — the writer first,
+        // then the readers in list order, as the sequential detector does —
+        // so the first witness per granule is the same race. The closure
+        // borrows the witness fields alone, next to the shadow state.
+        let mut found = |prior_strand: StrandId, prior_kind: AccessKind| {
+            self.observations += 1;
+            if self.racy.insert(acc.granule) {
+                let race = Race {
+                    addr,
+                    prior_strand,
+                    prior_kind,
+                    current_strand: acc.strand,
+                    current_kind: if acc.is_write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                };
+                self.witnesses.push((acc.pos, race));
+            }
+        };
+        // Access-history counters accumulate in locals while the shadow
+        // state is borrowed, then fold into the worker's stats — the same
+        // quantities the sequential detector counts, so summing them across
+        // workers reproduces its totals (minus `shadow_pages`, which is
+        // per-worker table occupancy).
+        let mut readers_recorded = 0u64;
+        let mut readers_cleared = 0u64;
+        let state = self.history.get_mut(slot);
+        if let Some(writer) = state.last_writer {
+            if !precedes(writer) {
+                found(writer, AccessKind::Write);
+            }
+        }
+        if acc.is_write {
+            for &reader in &state.readers {
+                if !precedes(reader) {
+                    found(reader, AccessKind::Read);
+                }
+            }
+            readers_cleared = state.readers.len() as u64;
+            state.readers.clear();
+            state.last_writer = Some(acc.strand);
+        } else if state.readers.last() != Some(&acc.strand) {
+            // A strand appears once per write epoch, exactly as in the
+            // sequential detector.
+            state.readers.push(acc.strand);
+            readers_recorded = 1;
+        }
+        let stats = self.history.stats_mut();
+        if acc.is_write {
+            stats.write_checks += 1;
+        } else {
+            stats.read_checks += 1;
+        }
+        stats.readers_recorded += readers_recorded;
+        stats.readers_cleared += readers_cleared;
+        stats.races_found += self.observations - observed;
+    }
+
+    /// What the worker found so far, leaving its shadow state in place.
+    fn findings(&self) -> Findings {
+        Findings {
+            witnesses: self.witnesses.clone(),
+            observations: self.observations,
+            stats: self.history.stats(),
+        }
+    }
+
+    /// What the worker found, dropping its shadow state.
+    pub(super) fn into_findings(self) -> Findings {
+        Findings {
+            witnesses: self.witnesses,
+            observations: self.observations,
+            stats: self.history.stats(),
+        }
+    }
+}
+
+/// One worker's result, whatever it owned: the first witness per racy
+/// granule with the trace position that exposed it, every racing pair it
+/// observed, and its access-history counters.
+#[derive(Debug, Default)]
+pub(super) struct Findings {
+    witnesses: Vec<(u32, Race)>,
+    observations: u64,
+    stats: DetectorStats,
+}
+
+/// A worker's private slice of the detection state: a contiguous granule
+/// range, its own shadow-memory table, and the races found so far.
+///
+/// Built from the same two-level [`AccessHistory`] the sequential detector
+/// uses; granule indices stay global, so pages outside the partition's range
+/// are simply never allocated.
+#[derive(Debug)]
+pub struct ShadowPartition {
+    range: Range<u64>,
+    shadow: Shadow,
+}
+
 impl ShadowPartition {
     /// Creates an empty partition owning `range` (half-open, in granules).
     pub fn new(range: Range<u64>) -> Self {
         Self {
             range,
-            history: AccessHistory::new(),
-            racy: HashSet::new(),
-            witnesses: Vec::new(),
-            observations: 0,
+            shadow: Shadow::default(),
         }
     }
 
@@ -66,108 +180,26 @@ impl ShadowPartition {
 
     /// Number of shadow pages this partition allocated.
     pub fn shadow_pages(&self) -> usize {
-        self.history.num_pages()
+        self.shadow.history.num_pages()
     }
 
     /// Racing pairs observed so far (including repeats per granule).
     pub fn observations(&self) -> u64 {
-        self.observations
+        self.shadow.observations
     }
 
     /// Witness races found so far (one per racy granule, in trace order).
     pub fn witnesses(&self) -> &[(u32, Race)] {
-        &self.witnesses
+        &self.shadow.witnesses
     }
 
-    fn found(&mut self, pos: u32, race: Race) {
-        self.observations += 1;
-        let granule = race.addr.granule();
-        if self.racy.insert(granule) {
-            self.witnesses.push((pos, race));
-        }
-    }
-
-    /// Processes one granule-level access, mirroring the sequential
-    /// detector's read/write protocol against the frozen index. Queries go
-    /// through the worker's cursor; accesses must arrive in trace order.
-    pub(crate) fn apply(
-        &mut self,
-        index: &ReachIndex,
-        cursor: &mut IndexCursor,
-        acc: &GranuleAccess,
-    ) {
+    /// Processes one granule-level access against the frozen index. Queries
+    /// go through the worker's cursor; accesses must arrive in trace order.
+    fn apply(&mut self, index: &ReachIndex, cursor: &mut IndexCursor, acc: &GranuleAccess) {
         debug_assert!(self.owns(acc.granule));
-        let addr = MemAddr(acc.granule * MemAddr::GRANULARITY);
-        // Collect the racing pairs first: the shadow state borrow must end
-        // before the witness bookkeeping takes `&mut self` again. The order
-        // (writer check, then readers in list order) matches the sequential
-        // detector, so the first witness per granule is the same race.
-        let mut races: Vec<Race> = Vec::new();
-        // Access-history counters accumulate in locals while the shadow
-        // state is borrowed, then fold into the partition's stats — the
-        // same quantities the sequential detector counts, so summing them
-        // across partitions reproduces its totals (minus `shadow_pages`,
-        // which is per-partition table occupancy).
-        let mut readers_recorded = 0u64;
-        let mut readers_cleared = 0u64;
-        let state = self.history.get_mut(acc.granule);
-        if acc.is_write {
-            if let Some(writer) = state.last_writer {
-                if !index.precedes_at_cached(cursor, writer, acc.strand, acc.pos) {
-                    races.push(Race {
-                        addr,
-                        prior_strand: writer,
-                        prior_kind: AccessKind::Write,
-                        current_strand: acc.strand,
-                        current_kind: AccessKind::Write,
-                    });
-                }
-            }
-            for &reader in &state.readers {
-                if !index.precedes_at_cached(cursor, reader, acc.strand, acc.pos) {
-                    races.push(Race {
-                        addr,
-                        prior_strand: reader,
-                        prior_kind: AccessKind::Read,
-                        current_strand: acc.strand,
-                        current_kind: AccessKind::Write,
-                    });
-                }
-            }
-            readers_cleared = state.readers.len() as u64;
-            state.readers.clear();
-            state.last_writer = Some(acc.strand);
-        } else {
-            if let Some(writer) = state.last_writer {
-                if !index.precedes_at_cached(cursor, writer, acc.strand, acc.pos) {
-                    races.push(Race {
-                        addr,
-                        prior_strand: writer,
-                        prior_kind: AccessKind::Write,
-                        current_strand: acc.strand,
-                        current_kind: AccessKind::Read,
-                    });
-                }
-            }
-            // A strand appears once per write epoch, exactly as in the
-            // sequential detector.
-            if state.readers.last() != Some(&acc.strand) {
-                state.readers.push(acc.strand);
-                readers_recorded = 1;
-            }
-        }
-        let stats = self.history.stats_mut();
-        if acc.is_write {
-            stats.write_checks += 1;
-        } else {
-            stats.read_checks += 1;
-        }
-        stats.readers_recorded += readers_recorded;
-        stats.readers_cleared += readers_cleared;
-        stats.races_found += races.len() as u64;
-        for race in races {
-            self.found(acc.pos, race);
-        }
+        self.shadow.apply(acc.granule, acc, |u| {
+            index.precedes_at_cached(cursor, u, acc.strand, acc.pos)
+        });
     }
 
     /// Feeds a run of the access stream, in trace order, through the
@@ -192,30 +224,20 @@ impl ShadowPartition {
     /// Access-history counters accumulated so far (the partition's share of
     /// the sequential detector's [`DetectorStats`]).
     pub fn stats(&self) -> DetectorStats {
-        self.history.stats()
+        self.shadow.history.stats()
     }
 
     /// The partition's result so far (range, witnesses, observation count,
     /// access-history counters), leaving its shadow state in place.
     fn outcome(&self) -> PartitionOutcome {
-        PartitionOutcome {
-            range: self.range.clone(),
-            witnesses: self.witnesses.clone(),
-            observations: self.observations,
-            stats: self.history.stats(),
-        }
+        PartitionOutcome::from_findings(self.range.clone(), self.shadow.findings())
     }
 
     /// Extracts the partition's result (range, witnesses, observation
     /// count, access-history counters) — the unit a persistent detection
     /// store caches and merges.
     pub fn into_outcome(self) -> PartitionOutcome {
-        PartitionOutcome {
-            range: self.range,
-            witnesses: self.witnesses,
-            observations: self.observations,
-            stats: self.history.stats(),
-        }
+        PartitionOutcome::from_findings(self.range, self.shadow.into_findings())
     }
 }
 
@@ -240,6 +262,17 @@ pub struct PartitionOutcome {
     /// write_checks` is the number of granule accesses this partition
     /// processed — the load figure incremental re-balancing steers by.
     pub stats: DetectorStats,
+}
+
+impl PartitionOutcome {
+    fn from_findings(range: Range<u64>, found: Findings) -> Self {
+        Self {
+            range,
+            witnesses: found.witnesses,
+            observations: found.observations,
+            stats: found.stats,
+        }
+    }
 }
 
 /// Runs detection over one granule range of the access stream against a
@@ -482,22 +515,16 @@ pub fn bucket_accesses(
 }
 
 /// Merges per-partition results into one [`RaceReport`] byte-identical to
-/// what the sequential detector produced: witnesses are replayed into the
-/// report sorted by trace position (tie-broken by granule, the order a
-/// single wide access reports its granules in), and the observation total is
-/// restored afterwards.
+/// what the sequential detector produced, and sums the per-partition
+/// access-history counters into one [`DetectorStats`]. Witnesses are
+/// replayed into the report sorted by trace position (tie-broken by
+/// granule, the order a single wide access reports its granules in), and
+/// the observation total is restored afterwards.
 ///
 /// The merge is *range-agnostic*: any set of outcomes whose ranges cover
 /// every touched granule exactly once yields the same report, which is why a
 /// store can mix cached outcomes (from an earlier partitioning) with freshly
 /// recomputed ones.
-pub fn merge_outcomes(outcomes: impl IntoIterator<Item = PartitionOutcome>) -> RaceReport {
-    merge_outcomes_stats(outcomes).0
-}
-
-/// As [`merge_outcomes`], but also sums the per-partition access-history
-/// counters into one [`DetectorStats`] — what a multi-threaded detection
-/// reports instead of dropping the counters.
 ///
 /// The summed counters equal the sequential detector's on every field
 /// except `shadow_pages`: pages are per-partition tables, so a page whose
@@ -506,20 +533,33 @@ pub fn merge_outcomes(outcomes: impl IntoIterator<Item = PartitionOutcome>) -> R
 pub fn merge_outcomes_stats(
     outcomes: impl IntoIterator<Item = PartitionOutcome>,
 ) -> (RaceReport, DetectorStats) {
+    merge_findings(outcomes.into_iter().map(|outcome| Findings {
+        witnesses: outcome.witnesses,
+        observations: outcome.observations,
+        stats: outcome.stats,
+    }))
+}
+
+/// The merge behind [`merge_outcomes_stats`], over the results of workers
+/// that each owned a disjoint set of granules: witnesses sorted by trace
+/// position, then granule, observation totals and counters summed.
+pub(super) fn merge_findings(
+    workers: impl IntoIterator<Item = Findings>,
+) -> (RaceReport, DetectorStats) {
     let _span = futurerd_obs::Span::enter(futurerd_obs::names::MERGE);
     let mut total = 0u64;
     let mut stats = DetectorStats::default();
     let mut all: Vec<(u32, Race)> = Vec::new();
-    for outcome in outcomes {
-        total += outcome.observations;
-        let s = &outcome.stats;
+    for found in workers {
+        total += found.observations;
+        let s = &found.stats;
         stats.read_checks += s.read_checks;
         stats.write_checks += s.write_checks;
         stats.readers_recorded += s.readers_recorded;
         stats.readers_cleared += s.readers_cleared;
         stats.races_found += s.races_found;
         stats.shadow_pages += s.shadow_pages;
-        all.extend(outcome.witnesses);
+        all.extend(found.witnesses);
     }
     all.sort_by_key(|&(pos, race)| (pos, race.addr.granule()));
     let mut report = RaceReport::default();
@@ -1326,6 +1366,12 @@ mod tests {
     fn partition_tracks_first_witness_per_granule() {
         let mut p = ShadowPartition::new(0..100);
         assert!(p.owns(5) && !p.owns(100));
+        // Strand 1 writes granule 5, and strand 2 reads it twice without
+        // seeing the write: two racing pairs, one witness.
+        let unordered = |_: StrandId| false;
+        p.shadow.apply(5, &acc(5, 3, 1, true), unordered);
+        p.shadow.apply(5, &acc(5, 7, 2, false), unordered);
+        p.shadow.apply(5, &acc(5, 9, 2, false), unordered);
         let race = Race {
             addr: MemAddr(5 * MemAddr::GRANULARITY),
             prior_strand: StrandId(1),
@@ -1333,11 +1379,9 @@ mod tests {
             current_strand: StrandId(2),
             current_kind: AccessKind::Read,
         };
-        p.found(7, race);
-        p.found(9, race);
         assert_eq!(p.observations(), 2);
-        assert_eq!(p.witnesses().len(), 1);
-        assert_eq!(p.witnesses()[0].0, 7);
+        assert_eq!(p.witnesses(), [(7, race)]);
+        assert_eq!(p.stats().races_found, 2);
     }
 
     #[test]
@@ -1358,10 +1402,13 @@ mod tests {
             current_strand: StrandId(4),
             current_kind: AccessKind::Write,
         };
-        b.found(2, race_b);
-        a.found(5, race_a);
-        a.found(6, race_a);
-        let report = merge_outcomes([a.into_outcome(), b.into_outcome()]);
+        let unordered = |_: StrandId| false;
+        b.shadow.apply(15, &acc(15, 1, 3, false), unordered);
+        b.shadow.apply(15, &acc(15, 2, 4, true), unordered);
+        a.shadow.apply(1, &acc(1, 0, 1, true), unordered);
+        a.shadow.apply(1, &acc(1, 5, 2, false), unordered);
+        a.shadow.apply(1, &acc(1, 6, 2, false), unordered);
+        let (report, _) = merge_outcomes_stats([a.into_outcome(), b.into_outcome()]);
         assert_eq!(report.race_count(), 2);
         assert_eq!(report.total_observations(), 3);
         // Sorted by position: the partition-b race comes first.

@@ -163,7 +163,7 @@ pub use futurerd_store as store;
 pub use futurerd_store::{BatchJob, BatchManifest, DetectionPath, Store, StoreError, StoreStats};
 pub use session::Session;
 
-use futurerd_core::parallel::{merge_outcomes_stats, par_replay_outcomes_with};
+use futurerd_core::parallel::par_replay_with;
 use futurerd_core::reachability::{
     GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsConservative,
 };
@@ -290,24 +290,28 @@ impl Config {
     ///
     /// At one thread, [`Config::replay`] runs the paper's single pass: one
     /// depth-first replay maintaining the reachability structure alongside
-    /// the access history, with no freeze. With more than one thread,
-    /// full-detection MultiBags / MultiBags+ requests run the two-pass
-    /// parallel engine (`futurerd-core::parallel`): pass 1 freezes the
-    /// reachability structure, and pass 2 shards detection across workers
-    /// on a work-stealing [`ThreadPool`] — the granule space is split into
-    /// contiguous ranges balanced by access count and the per-partition
-    /// reports are merged deterministically. The [`RaceReport`] is
-    /// identical at any thread count. Other algorithms and partial analyses
-    /// replay in a single pass regardless of this setting.
+    /// the access history, with no freeze. With `P` threads, a one-shot
+    /// MultiBags / MultiBags+ full-detection replay runs `P` single passes
+    /// over the same events on a work-stealing [`ThreadPool`]: each worker
+    /// keeps its own reachability structure and the access history of
+    /// every `P`-th granule, and the workers' witnesses merge by trace
+    /// position. Sessions and the store run the two-pass engine instead
+    /// (`futurerd-core::parallel`), because they resume and persist its
+    /// state: pass 1 freezes the reachability structure, and pass 2 shards
+    /// detection over contiguous granule ranges balanced by access count.
+    /// The [`RaceReport`] is identical at any thread count on every path.
+    /// Other algorithms and partial analyses replay in a single pass
+    /// regardless of this setting.
     ///
     /// Workers come from the **process-shared** pool of this size
     /// ([`ThreadPool::shared`]), so repeated replays and batch jobs pay the
     /// worker spawn cost once; use [`Config::replay_on`] (or
     /// [`Session::on_pool`]) to supply a pool explicitly.
     ///
-    /// Engine paths report the summed per-partition `detector_stats` but no
-    /// `reach_stats` (the freeze does not meter its reachability work);
-    /// single-pass paths report both.
+    /// Threaded paths report the summed per-worker `detector_stats` but no
+    /// `reach_stats` (one-shot workers each replicate the reachability
+    /// work, and the freeze does not meter it); single-pass paths report
+    /// both.
     ///
     /// # Example
     ///
@@ -431,11 +435,14 @@ impl Config {
     /// ordering invariant, which the detectors' correctness depends on, and
     /// a complete stream ending in `ProgramEnd`) and detected once; nothing
     /// is copied or kept. At one detection thread — and for partial
-    /// analyses or algorithms without a frozen form at any thread count —
+    /// analyses or algorithms other than MultiBags and MultiBags+ at any
+    /// thread count —
     /// the configured detector runs the paper's single pass over the
-    /// events, reporting `reach_stats` too. With more
+    /// events, reporting `reach_stats` too. With `P > 1`
     /// [`threads`](Config::threads), MultiBags / MultiBags+ full detection
-    /// runs the two-pass engine on the process-shared pool. Either way the
+    /// runs `P` single passes on the process-shared pool, each keeping the
+    /// access history of every `P`-th granule; nothing is frozen (sessions
+    /// and the store run the two-pass engine). Either way the
     /// [`RaceReport`] is byte-identical to a [`Session`] fed the same
     /// events. The returned [`Detection`] carries no program value, its
     /// summary's `bytes_allocated` is zero (traces do not record
@@ -466,7 +473,7 @@ impl Config {
 
     /// As [`Config::replay`], but parallel detection workers run on the
     /// given pool instead of the facade's process-shared one — for callers
-    /// that manage pool lifetime themselves. The partition count still comes
+    /// that manage pool lifetime themselves. The worker count still comes
     /// from [`Config::threads`]; at one thread the single pass runs on the
     /// calling thread and the pool is not used.
     ///
@@ -494,9 +501,9 @@ impl Config {
     }
 
     /// The one-shot replay behind [`Config::replay`] and
-    /// [`Config::replay_on`]: the single pass when the engine has nothing
-    /// to shard, the two-pass engine on `pool` (or the shared pool)
-    /// otherwise.
+    /// [`Config::replay_on`]: the single pass at one thread or when there
+    /// is nothing to shard, one single pass per thread on `pool` (or the
+    /// shared pool) otherwise.
     fn replay_with(self, trace: &Trace, pool: Option<&ThreadPool>) -> Result<Detection<()>, Error> {
         if self.threads == 1 || self.analysis != Analysis::Full {
             let counts = {
@@ -514,14 +521,13 @@ impl Config {
             }
         };
         let algorithm = session::replay_algorithm(self.algorithm);
-        let (counts, outcomes) =
-            par_replay_outcomes_with(trace, algorithm, self.threads, &PoolExecutor(pool))?;
+        let (counts, detected) =
+            par_replay_with(trace, algorithm, self.threads, &PoolExecutor(pool))?;
         let summary = summary_from_counts(&counts);
-        let Some(outcomes) = outcomes else {
-            // No frozen form for this algorithm: the single pass.
+        let Some((report, detector_stats)) = detected else {
+            // Not a paper algorithm: the single pass.
             return sequential_detection(self, trace, summary);
         };
-        let (report, detector_stats) = merge_outcomes_stats(outcomes);
         detector_stats.export_metrics("detector");
         pool.export_worker_metrics("pool");
         Ok(Detection {
@@ -853,15 +859,16 @@ pub struct Detection<T> {
     /// Reachability work counters — present on every single-pass run
     /// ([`Config::run`], [`Config::replay`] at one detection thread or with
     /// an algorithm or analysis the engine does not shard, and session
-    /// reports without a frozen form). Absent under [`Analysis::Baseline`]
-    /// and on the frozen-engine paths: threaded replays and the
-    /// MultiBags / MultiBags+ full-detection sessions and stores (the
+    /// reports without a frozen form). Absent under [`Analysis::Baseline`],
+    /// on threaded replays (each worker's counters are a replica of the
+    /// same work, not a share of a total) and on the frozen-engine paths:
+    /// the MultiBags / MultiBags+ full-detection sessions and stores (the
     /// freeze does not meter its reachability work).
     pub reach_stats: Option<ReachStats>,
     /// Access-history counters — present only under [`Analysis::Full`].
-    /// On engine paths these are the per-partition counters summed (equal
-    /// to a sequential replay's on every field except `shadow_pages`,
-    /// which counts per-partition tables).
+    /// On threaded and engine paths these are the workers' counters summed
+    /// (equal to a sequential replay's on every field except
+    /// `shadow_pages`, which counts per-worker tables).
     pub detector_stats: Option<DetectorStats>,
     /// How a replay/session/store request was served (`None` for live
     /// [`Config::run`] executions, which have nothing to route).

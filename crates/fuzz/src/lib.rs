@@ -14,13 +14,13 @@
 //!   [`DivergenceKind::RealBug`]; an unsound-but-runnable one (conservative
 //!   SP-Bags on futures, MultiBags on multi-touch) is quantified and
 //!   recorded as [`DivergenceKind::KnownApproximation`];
-//! * the parallel two-pass engine at P ∈ {1, 2, 8}, which must be
-//!   *byte-identical* to sequential replay (witnesses, granule set, and
-//!   observation totals) — any difference is a real bug regardless of
-//!   algorithm soundness;
+//! * one-shot parallel replay (`par_replay_detect`) at P ∈ {1, 2, 8},
+//!   which must be *byte-identical* to sequential replay (witnesses,
+//!   granule set, and observation totals) — any difference is a real bug
+//!   regardless of algorithm soundness;
 //! * the facade's one-shot [`Config::replay`] at the same widths (the
-//!   single pass at P=1, the engine above it), held to the same
-//!   byte-identity bar;
+//!   single pass at P=1, one single pass per worker above it), held to
+//!   the same byte-identity bar;
 //! * the work-assisted pass-1 freeze at P ∈ {2, 8} with forced-low batch
 //!   thresholds, whose frozen state must equal the sequential freeze **bit
 //!   for bit** ([`IncrementalFreezer::to_raw`]) — any mismatch is a real

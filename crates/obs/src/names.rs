@@ -19,14 +19,16 @@
 pub const VALIDATE: &str = "validate";
 /// Pass-1 freeze replay (one-shot or incremental extend).
 pub const FREEZE: &str = "freeze";
-/// Pass-2 sharded shadow-memory detection.
+/// Shadow-memory detection: the single pass, the one-shot workers, or
+/// pass 2 of the two-pass engine.
 pub const DETECT: &str = "detect";
 /// Deterministic outcome merge.
 pub const MERGE: &str = "merge";
 
 // --- Nested / worker-side stages (spans) -----------------------------------
 
-/// Per-partition detection task (worker side).
+/// One detection worker's task (worker side): a one-shot worker or a
+/// pass-2 partition.
 pub const DETECT_PARTITION: &str = "detect.partition";
 /// Choosing the pass-2 partition boundaries (coordinator side).
 pub const DETECT_RANGES: &str = "detect.ranges";

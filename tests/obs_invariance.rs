@@ -385,6 +385,47 @@ fn recorded_single_thread_replay_attributes_the_single_pass() {
 }
 
 #[test]
+fn recorded_threaded_replay_attributes_the_replicas() {
+    let _guard = exclusive();
+    let program = generate_shaped(FuzzShape::General, 3);
+    let (trace, _) = record_spec(&program.spec);
+    let config = Config::general().threads(2);
+
+    futurerd_obs::set_enabled(true);
+    futurerd_obs::reset();
+    let detection = config.replay(&trace).expect("canonical trace");
+    let snapshot = futurerd_obs::snapshot();
+    futurerd_obs::set_enabled(false);
+
+    // A one-shot replay at P=2 runs two single passes and merges them:
+    // one validate, one detect with a task per worker, one merge, and
+    // nothing frozen or partitioned.
+    for (stage, count) in [
+        ("validate", 1),
+        ("detect", 1),
+        ("detect.partition", 2),
+        ("merge", 1),
+    ] {
+        let stats = snapshot
+            .stage(stage)
+            .unwrap_or_else(|| panic!("stage '{stage}' missing from {snapshot:?}"));
+        assert_eq!(stats.count, count, "{stage}: spans per replay");
+    }
+    for stage in ["freeze", "detect.ranges"] {
+        assert!(
+            snapshot.stage(stage).is_none(),
+            "a one-shot replay must not run '{stage}': {snapshot:?}"
+        );
+    }
+    assert!(detection.reach_stats.is_none(), "replicas do not sum R");
+    let detector = detection.detector_stats.expect("full detection");
+    assert_eq!(
+        snapshot.metric("detector.read_checks"),
+        Some(detector.read_checks)
+    );
+}
+
+#[test]
 fn disabled_recorder_stays_empty() {
     let _guard = exclusive();
     futurerd_obs::set_enabled(false);
