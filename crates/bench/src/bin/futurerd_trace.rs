@@ -35,7 +35,7 @@
 
 use futurerd_bench::{out, outln};
 use futurerd_core::detector::RaceDetector;
-use futurerd_core::parallel::par_replay_detect;
+use futurerd_core::parallel::{oneshot_workers, par_replay_detect};
 use futurerd_core::reachability::{
     GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsConservative,
 };
@@ -80,7 +80,8 @@ fn usage() -> ! {
          the report is identical at any thread count). One-shot replay\n\
          runs N single passes over the trace, each with its own\n\
          reachability structure and the access history of every N-th\n\
-         granule; nothing is frozen. follow and batch still freeze\n\
+         granule; nothing is frozen, and N stops at the core count, since\n\
+         every pass repeats the reachability work. follow and batch freeze\n\
          reachability for the two-pass engine, with idle workers assisting\n\
          the closure stamping.\n\
          batch treats <dir> as a futurerd-store detection store: every\n\
@@ -113,7 +114,8 @@ fn usage() -> ! {
          with or without these flags, attributed as validate and detect.\n\
          profile replays <trace> at P=1 (the single pass) and P=N (N single\n\
          passes; N from --threads, else FUTURERD_PAR_THREADS, else the\n\
-         machine's parallelism), 5 runs each in alternation, and prints\n\
+         machine's parallelism, and at most the core count), 5 runs each\n\
+         in alternation, and prints\n\
          each stage's median time with its min and max over the runs:\n\
          validate, detect (detect.partition per worker), merge vs wall\n\
          clock. --json emits one machine-readable JSON line per profiled\n\
@@ -679,7 +681,8 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         let start = Instant::now();
         // The facade's one-shot replay: the single pass at P=1 (recording
         // or not — observing never reroutes), P single passes above it.
-        let sharded = opts.threads > 1 && algorithm.freezable();
+        let workers = oneshot_workers(opts.threads);
+        let sharded = workers > 1 && algorithm.freezable();
         let config = futurerd::Config::new()
             .algorithm(algorithm.into())
             .threads(opts.threads);
@@ -693,10 +696,7 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         let report = detection.report();
         verdict_line(algorithm, report, start.elapsed());
         if sharded {
-            outln!(
-                "              ({} single passes, granules dealt round-robin)",
-                opts.threads
-            );
+            outln!("              ({workers} single passes, granules dealt round-robin)");
         } else if opts.threads > 1 {
             outln!("              (not a paper algorithm: replayed in one single pass)");
         }
@@ -1139,15 +1139,15 @@ fn print_profile(threads: usize, point: &ProfilePoint) {
 }
 
 /// Renders one profiled configuration as a machine-readable JSON line
-/// (stages in name order; `total_ns` is the median per-run total and
-/// `min_ns` / `max_ns` the lowest and highest).
+/// (stages in name order; `median_total_ns` is the median of the stage's
+/// per-run totals, `min_total_ns` / `max_total_ns` the lowest and highest).
 fn profile_json_line(threads: usize, point: &ProfilePoint) -> String {
     let stages: Vec<String> = point
         .stage_medians()
         .into_iter()
         .map(|(name, count, median, min, max)| {
             format!(
-                "{{\"name\":\"{name}\",\"count\":{count},\"total_ns\":{median},\"min_ns\":{min},\"max_ns\":{max}}}"
+                "{{\"name\":\"{name}\",\"count\":{count},\"median_total_ns\":{median},\"min_total_ns\":{min},\"max_total_ns\":{max}}}"
             )
         })
         .collect();
@@ -1190,20 +1190,16 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         }
     };
     // Default P: --threads wins, then FUTURERD_PAR_THREADS (the knob the
-    // test suites honor), then the machine's parallelism.
-    let n = if opts.threads > 1 {
+    // test suites honor), then one pass per core; one-shot replay runs no
+    // more passes than cores either way.
+    let n = oneshot_workers(if opts.threads > 1 {
         opts.threads
     } else {
         std::env::var("FUTURERD_PAR_THREADS")
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-    };
+            .unwrap_or(usize::MAX)
+    });
     // Status goes to stderr in --json mode so stdout stays parseable.
     let status = |line: String| {
         if opts.json {

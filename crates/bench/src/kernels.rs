@@ -530,8 +530,9 @@ fn fig_trace(cells: &mut Cells) {
 /// Parallel detection costs on the big traces: the single pass without
 /// validation (`seq`), the two-pass engine's freeze alone (`freeze`, what
 /// sessions and the store pay before detecting) and one-shot parallel
-/// replay, validation included, at P ∈ {1, 2, 4, 8} (P=1 is the single
-/// pass).
+/// replay, validation included, asked for P ∈ {1, 2, 4, 8} threads (P=1
+/// is the single pass; past the core count the rows run one pass per
+/// core).
 fn fig_par_detect(cells: &mut Cells) {
     for (algorithm, general, seed) in BIG_CELLS {
         let prefix = format!("fig_par_detect/{}", algorithm.name());

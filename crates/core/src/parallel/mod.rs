@@ -14,7 +14,9 @@
 //! access history only for the granules dealt to it round-robin
 //! (`g mod P`). Reachability costs little next to the access history, so
 //! replicating it is cheaper than freezing it, and no pass over the
-//! accesses comes before detection.
+//! accesses comes before detection. Replicas past the machine's core count
+//! would only repeat the reachability work, so a request for more threads
+//! runs [`oneshot_workers`] of them.
 //!
 //! **The two-pass engine** serves sessions and the persistent store, which
 //! resume detection on a growing trace and persist its state:
@@ -120,11 +122,11 @@ impl DetectExecutor for StdExecutor {
 /// returns a [`RaceReport`] identical to sequential
 /// [`replay_detect`](crate::replay::replay_detect).
 ///
-/// For MultiBags and MultiBags+ at `threads > 1`, each of `threads`
+/// For MultiBags and MultiBags+, each of [`oneshot_workers`]`(threads)`
 /// workers replays the whole trace through its own copy of the
 /// reachability structure and keeps the access history of every
-/// `threads`-th granule (see [`par_replay_with`]); nothing is frozen. One
-/// thread runs the paper's single pass. SP-Bags,
+/// `workers`-th granule (see [`par_replay_with`]); nothing is frozen. One
+/// worker runs the paper's single pass. SP-Bags,
 /// [`ReplayAlgorithm::SpBagsConservative`] and the graph oracle always run
 /// the single pass (the report is identical either way).
 ///
@@ -151,19 +153,31 @@ pub fn par_replay_detect(
     algorithm: ReplayAlgorithm,
     threads: usize,
 ) -> Result<RaceReport, TraceError> {
-    par_replay_detect_with(trace, algorithm, threads, &StdExecutor)
+    par_replay_detect_with(trace, algorithm, oneshot_workers(threads), &StdExecutor)
 }
 
-/// As [`par_replay_detect`], but the workers run on the given executor
-/// (e.g. the work-stealing pool of `futurerd-runtime`). A thin wrapper over
-/// [`par_replay_with`].
+/// How many one-shot workers a request for `threads` runs: at most as many
+/// as the machine runs at once, and at least one. Every worker repeats the
+/// whole reachability replay, so a worker past the core count adds work
+/// and memory and no speed.
+pub fn oneshot_workers(threads: usize) -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    threads.clamp(1, cores)
+}
+
+/// As [`par_replay_detect`], but exactly `workers` workers run, on the
+/// given executor (e.g. the work-stealing pool of `futurerd-runtime`). A
+/// thin wrapper over [`par_replay_with`].
 pub fn par_replay_detect_with(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
-    threads: usize,
+    workers: usize,
     executor: &impl DetectExecutor,
 ) -> Result<RaceReport, TraceError> {
-    match par_replay_with(trace, algorithm, threads, executor)? {
+    match par_replay_with(trace, algorithm, workers, executor)? {
         (_, Some((report, _))) => Ok(report),
         // Not a paper algorithm: the single pass, by definition the same
         // report.
@@ -172,19 +186,21 @@ pub fn par_replay_detect_with(
 }
 
 /// The one-shot pipeline over a borrowed trace: validate once, then detect
-/// with `threads` workers on `executor`, and return the trace's totals
-/// with the merged report and the summed access-history counters.
+/// with exactly `workers` workers on `executor`, and return the trace's
+/// totals with the merged report and the summed access-history counters.
+/// Callers that take a thread count from a user cap it with
+/// [`oneshot_workers`] first, as [`par_replay_detect`] and the facade do.
 ///
 /// Each worker `w` replays every event of the trace in place through its
 /// own [`MultiBags`] or [`MultiBagsPlus`]. Construct events go to the
 /// structure; a `Read` or `Write` applies only its granules `g` with
-/// `g mod threads == w`, keeps each in slot `g div threads` of the
+/// `g mod workers == w`, keeps each in slot `g div workers` of the
 /// worker's shadow table, and asks `precedes_current`, as the single pass
 /// does. The witnesses merge by trace position (the event index), then
 /// granule, as [`merge_outcomes_stats`] merges pass-2 partitions, so the
 /// report is byte-identical to the single pass. The counters equal the
 /// single pass's except `shadow_pages`, which sums the workers' tables.
-/// At one thread the single pass runs on the calling thread.
+/// One worker runs the single pass on the calling thread.
 ///
 /// Nothing is frozen, copied or kept: a one-shot request has nothing to
 /// resume. The detection is `None` for algorithms other than MultiBags and
@@ -192,7 +208,7 @@ pub fn par_replay_detect_with(
 pub fn par_replay_with(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
-    threads: usize,
+    workers: usize,
     executor: &impl DetectExecutor,
 ) -> Result<(TraceCounts, Option<(RaceReport, DetectorStats)>), TraceError> {
     let counts = {
@@ -203,13 +219,13 @@ pub fn par_replay_with(
     let detected = match algorithm {
         ReplayAlgorithm::MultiBags => Some(oneshot::detect_replicas(
             events,
-            threads,
+            workers,
             executor,
             MultiBags::new,
         )),
         ReplayAlgorithm::MultiBagsPlus => Some(oneshot::detect_replicas(
             events,
-            threads,
+            workers,
             executor,
             MultiBagsPlus::new,
         )),

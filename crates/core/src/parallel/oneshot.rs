@@ -23,13 +23,13 @@ use crate::reachability::Reachability;
 use crate::stats::DetectorStats;
 use futurerd_dag::trace::{replay_events, TraceEvent};
 
-/// Detects over `events`, a validated trace, with `threads` replicas of
+/// Detects over `events`, a validated trace, with `workers` replicas of
 /// the reachability structure `new` builds, on `executor`, and returns the
-/// report and the summed access-history counters. One thread runs the
+/// report and the summed access-history counters. One worker runs the
 /// single pass itself.
 pub(super) fn detect_replicas<R: Reachability>(
     events: &[TraceEvent],
-    threads: usize,
+    workers: usize,
     executor: &impl DetectExecutor,
     new: fn() -> R,
 ) -> (RaceReport, DetectorStats) {
@@ -38,15 +38,15 @@ pub(super) fn detect_replicas<R: Reachability>(
         "trace positions are 32-bit; {}-event trace is too large",
         events.len()
     );
-    if threads <= 1 {
+    if workers <= 1 {
         let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
         let mut detector = RaceDetector::new(new());
         replay_events(events, &mut detector);
         let (report, _, stats) = detector.into_parts();
         return (report, stats);
     }
-    let parts = threads as u64;
-    let mut found: Vec<Findings> = (0..threads).map(|_| Findings::default()).collect();
+    let parts = workers as u64;
+    let mut found: Vec<Findings> = (0..workers).map(|_| Findings::default()).collect();
     {
         let _span = futurerd_obs::Span::enter(futurerd_obs::names::DETECT);
         let tasks = (0..parts)
@@ -73,9 +73,6 @@ fn replica<R: Reachability>(
     parts: u64,
 ) -> Findings {
     let mut shadow = Shadow::default();
-    // Dealing by shift and mask when `parts` is a power of two keeps a
-    // division out of the per-granule loop.
-    let shift = parts.is_power_of_two().then(|| parts.trailing_zeros());
     for (pos, event) in (0u32..).zip(events) {
         let (strand, addr, size, is_write) = match *event {
             TraceEvent::Read { strand, addr, size } => (strand, addr, size, false),
@@ -85,20 +82,29 @@ fn replica<R: Reachability>(
                 continue;
             }
         };
-        for granule in addr.granules(size as usize) {
-            let (slot, owner) = match shift {
-                Some(shift) => (granule >> shift, granule & (parts - 1)),
-                None => (granule / parts, granule % parts),
+        // The access's first granule this worker owns, and that granule's
+        // slot; from there every `parts`-th granule is this worker's, in
+        // the next slot.
+        let first = addr.granule();
+        let (quotient, rest) = (first / parts, first % parts);
+        let (skip, mut slot) = if rest <= worker {
+            (worker - rest, quotient)
+        } else {
+            (worker + parts - rest, quotient + 1)
+        };
+        for granule in addr
+            .granules(size as usize)
+            .skip(skip as usize)
+            .step_by(parts as usize)
+        {
+            let acc = GranuleAccess {
+                granule,
+                pos,
+                strand,
+                is_write,
             };
-            if owner == worker {
-                let acc = GranuleAccess {
-                    granule,
-                    pos,
-                    strand,
-                    is_write,
-                };
-                shadow.apply(slot, &acc, |u| reach.precedes_current(u));
-            }
+            shadow.apply(slot, &acc, |u| reach.precedes_current(u));
+            slot += 1;
         }
     }
     shadow.into_findings()

@@ -5,13 +5,13 @@
 //! These tests pin what the determinism suites cannot see on their
 //! generated programs: a hand-built trace whose wide accesses split across
 //! workers inside one event, with races on granules that different workers
-//! own, and the size of the workers' shadow tables on a dense array.
+//! own, and the size of the workers' shadow tables on a dense array. They
+//! run exactly the worker counts they name, past the core count too.
 //!
 //! `FUTURERD_PAR_THREADS=<n>` restricts the report comparison to a single
-//! worker count — CI runs it at 3, where `g mod P` and `g div P` are not a
-//! mask and a shift.
+//! worker count.
 
-use futurerd_core::parallel::{par_replay_detect, par_replay_with, StdExecutor};
+use futurerd_core::parallel::{par_replay_detect_with, par_replay_with, StdExecutor};
 use futurerd_core::replay::{replay_detect, ReplayAlgorithm};
 use futurerd_core::{AccessKind, Race};
 use futurerd_dag::events::{ForkInfo, SpawnEvent, SyncEvent};
@@ -181,7 +181,8 @@ fn wide_accesses_report_as_the_single_pass_at_every_worker_count() {
         assert_eq!(sequential.race_count(), 196, "{algorithm}");
         assert_eq!(sequential.total_observations(), 197, "{algorithm}");
         for threads in thread_counts() {
-            let parallel = par_replay_detect(&trace, algorithm, threads).expect("canonical");
+            let parallel = par_replay_detect_with(&trace, algorithm, threads, &StdExecutor)
+                .expect("canonical");
             assert_eq!(
                 parallel.witnesses(),
                 sequential.witnesses(),

@@ -1,6 +1,8 @@
-//! Determinism of the parallel detection engine: `par_replay_detect` must
-//! produce a report **byte-identical** to sequential `replay_detect` at
-//! every thread count, for every freezable algorithm, on every trace.
+//! Determinism of the parallel detection engine: one-shot parallel replay
+//! (`par_replay_detect_with`, at exactly the worker count asked for, past
+//! the core count too) must produce a report **byte-identical** to
+//! sequential `replay_detect` at every worker count, for every freezable
+//! algorithm, on every trace.
 //!
 //! The property is checked over seeded generated programs in both regimes
 //! (structured and general futures — the latter includes multi-touch
@@ -13,7 +15,7 @@
 //! `FUTURERD_PAR_THREADS=<n>` restricts the run to a single thread count —
 //! CI uses this to exercise 2 and 8 workers in separate steps.
 
-use futurerd_core::parallel::par_replay_detect;
+use futurerd_core::parallel::{par_replay_detect, par_replay_detect_with, StdExecutor};
 use futurerd_core::replay::{replay_detect, ReplayAlgorithm};
 use futurerd_dag::genprog::{generate_program, GenConfig};
 use futurerd_dag::trace::Trace;
@@ -36,8 +38,8 @@ fn assert_deterministic(trace: &Trace, context: &std::fmt::Arguments<'_>) {
     for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
         let sequential = replay_detect(trace, algorithm).expect("recorded traces are canonical");
         for threads in thread_counts() {
-            let parallel =
-                par_replay_detect(trace, algorithm, threads).expect("same trace, same validation");
+            let parallel = par_replay_detect_with(trace, algorithm, threads, &StdExecutor)
+                .expect("same trace, same validation");
             assert_eq!(
                 parallel, sequential,
                 "{context}: {algorithm} diverged at P={threads}"

@@ -163,7 +163,7 @@ pub use futurerd_store as store;
 pub use futurerd_store::{BatchJob, BatchManifest, DetectionPath, Store, StoreError, StoreStats};
 pub use session::Session;
 
-use futurerd_core::parallel::par_replay_with;
+use futurerd_core::parallel::{oneshot_workers, par_replay_with};
 use futurerd_core::reachability::{
     GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsConservative,
 };
@@ -295,10 +295,13 @@ impl Config {
     /// over the same events on a work-stealing [`ThreadPool`]: each worker
     /// keeps its own reachability structure and the access history of
     /// every `P`-th granule, and the workers' witnesses merge by trace
-    /// position. Sessions and the store run the two-pass engine instead
-    /// (`futurerd-core::parallel`), because they resume and persist its
-    /// state: pass 1 freezes the reachability structure, and pass 2 shards
-    /// detection over contiguous granule ranges balanced by access count.
+    /// position; `P` stops at the machine's core count
+    /// ([`parallel::oneshot_workers`]), since every extra worker repeats
+    /// the reachability work. Sessions and the store run the two-pass
+    /// engine instead (`futurerd-core::parallel`), because they resume and
+    /// persist its state: pass 1 freezes the reachability structure, and
+    /// pass 2 shards detection over contiguous granule ranges balanced by
+    /// access count.
     /// The [`RaceReport`] is identical at any thread count on every path.
     /// Other algorithms and partial analyses replay in a single pass
     /// regardless of this setting.
@@ -442,11 +445,13 @@ impl Config {
     /// [`threads`](Config::threads), MultiBags / MultiBags+ full detection
     /// runs `P` single passes on the process-shared pool, each keeping the
     /// access history of every `P`-th granule; nothing is frozen (sessions
-    /// and the store run the two-pass engine). Either way the
-    /// [`RaceReport`] is byte-identical to a [`Session`] fed the same
-    /// events. The returned [`Detection`] carries no program value, its
-    /// summary's `bytes_allocated` is zero (traces do not record
-    /// allocations), and its [`path`](Detection::path) is
+    /// and the store run the two-pass engine). `P` is at most the machine's
+    /// core count ([`parallel::oneshot_workers`]): every pass repeats the
+    /// reachability work, so a pass past the core count adds work and no
+    /// speed. Either way the [`RaceReport`] is byte-identical to a
+    /// [`Session`] fed the same events. The returned [`Detection`] carries
+    /// no program value, its summary's `bytes_allocated` is zero (traces do
+    /// not record allocations), and its [`path`](Detection::path) is
     /// [`DetectionPath::Cold`].
     ///
     /// [`Algorithm::SpBags`] has no transition for future constructs, so
@@ -474,8 +479,8 @@ impl Config {
     /// As [`Config::replay`], but parallel detection workers run on the
     /// given pool instead of the facade's process-shared one — for callers
     /// that manage pool lifetime themselves. The worker count still comes
-    /// from [`Config::threads`]; at one thread the single pass runs on the
-    /// calling thread and the pool is not used.
+    /// from [`Config::threads`], capped at the core count; at one worker
+    /// the single pass runs on the calling thread and the pool is not used.
     ///
     /// # Example
     ///
@@ -505,7 +510,8 @@ impl Config {
     /// is nothing to shard, one single pass per thread on `pool` (or the
     /// shared pool) otherwise.
     fn replay_with(self, trace: &Trace, pool: Option<&ThreadPool>) -> Result<Detection<()>, Error> {
-        if self.threads == 1 || self.analysis != Analysis::Full {
+        let workers = oneshot_workers(self.threads);
+        if workers == 1 || self.analysis != Analysis::Full {
             let counts = {
                 let _span = futurerd_obs::Span::enter(futurerd_obs::names::VALIDATE);
                 trace.validate()?
@@ -521,8 +527,7 @@ impl Config {
             }
         };
         let algorithm = session::replay_algorithm(self.algorithm);
-        let (counts, detected) =
-            par_replay_with(trace, algorithm, self.threads, &PoolExecutor(pool))?;
+        let (counts, detected) = par_replay_with(trace, algorithm, workers, &PoolExecutor(pool))?;
         let summary = summary_from_counts(&counts);
         let Some((report, detector_stats)) = detected else {
             // Not a paper algorithm: the single pass.

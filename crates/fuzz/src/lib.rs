@@ -14,13 +14,13 @@
 //!   [`DivergenceKind::RealBug`]; an unsound-but-runnable one (conservative
 //!   SP-Bags on futures, MultiBags on multi-touch) is quantified and
 //!   recorded as [`DivergenceKind::KnownApproximation`];
-//! * one-shot parallel replay (`par_replay_detect`) at P ∈ {1, 2, 8},
-//!   which must be *byte-identical* to sequential replay (witnesses,
-//!   granule set, and observation totals) — any difference is a real bug
-//!   regardless of algorithm soundness;
+//! * one-shot parallel replay (`par_replay_detect_with`) at exactly
+//!   P ∈ {1, 2, 8} workers, which must be *byte-identical* to sequential
+//!   replay (witnesses, granule set, and observation totals) — any
+//!   difference is a real bug regardless of algorithm soundness;
 //! * the facade's one-shot [`Config::replay`] at the same widths (the
-//!   single pass at P=1, one single pass per worker above it), held to
-//!   the same byte-identity bar;
+//!   single pass at P=1, one single pass per worker above it, at most one
+//!   per core), held to the same byte-identity bar;
 //! * the work-assisted pass-1 freeze at P ∈ {2, 8} with forced-low batch
 //!   thresholds, whose frozen state must equal the sequential freeze **bit
 //!   for bit** ([`IncrementalFreezer::to_raw`]) — any mismatch is a real
@@ -49,7 +49,9 @@ pub mod fixture;
 pub mod shrink;
 
 use futurerd::{Config, Store};
-use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, StdExecutor};
+use futurerd_core::parallel::{
+    par_replay_detect_with, FreezeAssist, IncrementalFreezer, StdExecutor,
+};
 use futurerd_core::races::{AccessKind, Race, RaceReport};
 use futurerd_core::replay::{replay_detect_unchecked, ApproximationError, ReplayAlgorithm};
 use futurerd_dag::genprog::{Action, FunctionSpec, ProgramSpec};
@@ -351,7 +353,8 @@ pub fn fuzz_seed(seed: u64, opts: &FuzzOptions, store: Option<&mut Store>) -> Se
             let paths = [
                 (
                     "par",
-                    par_replay_detect(&trace, algorithm, threads).map_err(|e| e.to_string()),
+                    par_replay_detect_with(&trace, algorithm, threads, &StdExecutor)
+                        .map_err(|e| e.to_string()),
                 ),
                 (
                     "oneshot",

@@ -13,7 +13,8 @@
 //! sanity-checks that an enabled run actually records the documented
 //! stages and metrics, so the invariance tests cannot pass vacuously.
 
-use futurerd::{Algorithm, Config};
+use futurerd::replay::{replay_detect, ReplayAlgorithm};
+use futurerd::{par_replay_detect, Algorithm, Config, RaceReport};
 use futurerd_runtime::trace::record_spec;
 use futurerd_workloads::fuzzgen::{generate_shaped, FuzzShape};
 use std::sync::{Mutex, MutexGuard};
@@ -423,6 +424,39 @@ fn recorded_threaded_replay_attributes_the_replicas() {
         snapshot.metric("detector.read_checks"),
         Some(detector.read_checks)
     );
+}
+
+#[test]
+fn one_shot_replay_runs_no_more_passes_than_cores() {
+    let _guard = exclusive();
+    let program = generate_shaped(FuzzShape::General, 3);
+    let (trace, _) = record_spec(&program.spec);
+    let algorithm = ReplayAlgorithm::MultiBagsPlus;
+    let single = replay_detect(&trace, algorithm).expect("canonical trace");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Every pass repeats the reachability work, so a request past the core
+    // count runs one pass per core, through the facade and the core alike
+    // (on one core, the single pass: no `detect.partition` at all).
+    let passes = if cores > 1 { cores as u64 } else { 0 };
+    let replays: [(&str, &dyn Fn() -> RaceReport); 2] = [
+        ("Config::replay", &|| {
+            let config = Config::general().threads(cores + 1);
+            config.replay(&trace).expect("canonical").report().clone()
+        }),
+        ("par_replay_detect", &|| {
+            par_replay_detect(&trace, algorithm, cores + 1).expect("canonical")
+        }),
+    ];
+    futurerd_obs::set_enabled(true);
+    for (path, replay) in replays {
+        futurerd_obs::reset();
+        let report = replay();
+        let snapshot = futurerd_obs::snapshot();
+        let ran = snapshot.stage("detect.partition").map_or(0, |s| s.count);
+        assert_eq!(ran, passes, "{path}: passes at P={}", cores + 1);
+        assert_eq!(report, single, "{path}");
+    }
+    futurerd_obs::set_enabled(false);
 }
 
 #[test]
