@@ -82,8 +82,7 @@ fn usage() -> ! {
          reachability structure and the access history of every N-th\n\
          granule; nothing is frozen, and N stops at the core count, since\n\
          every pass repeats the reachability work. follow and batch freeze\n\
-         reachability for the two-pass engine, with idle workers assisting\n\
-         the closure stamping.\n\
+         reachability for the two-pass engine.\n\
          batch treats <dir> as a futurerd-store detection store: every\n\
          *.trace in it is replayed under the selected freezable algorithms,\n\
          one stored-session report per job, served warm from its FRDIDX\n\
@@ -1036,12 +1035,6 @@ fn cmd_fuzz(opts: &Options) -> ExitCode {
 /// them, because one run of a few milliseconds is one noisy sample.
 const PROFILE_RUNS: usize = 5;
 
-/// The disjoint top-level coordinator stages. Nested spans
-/// (freeze.assist.*, detect.ranges, detect.partition) overlap them and are
-/// detail, not additional time; their sum is the pipeline's critical-path
-/// accounting and should approach wall clock.
-const TOP_STAGES: [&str; 4] = ["validate", "freeze", "detect", "merge"];
-
 /// One profiled configuration over its runs: each run's wall clock, its
 /// accounted top-level time, and every stage's span count and total.
 #[derive(Default)]
@@ -1055,7 +1048,8 @@ impl ProfilePoint {
     fn record(&mut self, wall: Duration, snapshot: &futurerd_obs::Snapshot) {
         self.walls
             .push(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX));
-        self.accounted.push(snapshot.total_ns_of(&TOP_STAGES));
+        self.accounted
+            .push(snapshot.total_ns_of(&futurerd_obs::timeline::TOP_STAGES));
         for row in &snapshot.stages {
             self.stages
                 .entry(row.name.clone())

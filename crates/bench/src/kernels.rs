@@ -14,9 +14,8 @@
 
 use crate::regress::BenchResult;
 use crate::{bench_params, run_config, scale, Algorithm, Config};
-use futurerd::{PoolExecutor, ThreadPool};
 use futurerd_core::detector::RaceDetector;
-use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, ReachIndex};
+use futurerd_core::parallel::{par_replay_detect, IncrementalFreezer, ReachIndex};
 use futurerd_core::reachability::{MultiBags, MultiBagsPlus, RGraph};
 use futurerd_core::replay::{replay_detect_unchecked, ReplayAlgorithm};
 use futurerd_dag::genprog::{generate_program, GenConfig};
@@ -367,24 +366,6 @@ fn freeze_seq(trace: &Trace, algorithm: ReplayAlgorithm) -> usize {
     index.expect("freezable algorithm").num_attached_sets()
 }
 
-/// Times the work-assisted freeze of `trace` on a shared pool of
-/// `threads` workers, with one assist for the whole row.
-fn freeze_assisted(
-    m: &Meter,
-    trace: &Trace,
-    algorithm: ReplayAlgorithm,
-    threads: usize,
-) -> BenchResult {
-    let pool = ThreadPool::shared(threads);
-    let executor = PoolExecutor(&pool);
-    let assist = FreezeAssist::new(threads, &executor);
-    m.iter(|| {
-        let index =
-            ReachIndex::freeze_assisted(trace, algorithm, &assist).expect("canonical trace");
-        index.expect("freezable algorithm").num_attached_sets()
-    })
-}
-
 /// Figures 6 and 7: every workload under the four configurations, with
 /// MultiBags on structured futures and MultiBags+ on general ones.
 fn fig6_fig7(cells: &mut Cells) {
@@ -730,8 +711,8 @@ fn fig_session(cells: &mut Cells) {
 /// Adversarial `k ≈ n` sweep (`k = 2n - 2`, the fuzz generator's
 /// worst-case chain): MultiBags+ pays its O(k²) attached-bag reachability
 /// maintenance, while plain MultiBags (approximate on these multi-touch
-/// traces) and conservative SP-Bags stay near-linear. `freeze_seq` and
-/// `freeze_par` isolate pass 1: sequential and work-assisted at P = 2.
+/// traces) and conservative SP-Bags stay near-linear. `freeze_seq`
+/// isolates pass 1.
 fn fig_kn_adversarial(cells: &mut Cells) {
     let plus = ReplayAlgorithm::MultiBagsPlus;
     for n in [16usize, 32, 64, 128] {
@@ -754,32 +735,22 @@ fn fig_kn_adversarial(cells: &mut Cells) {
             .row("freeze_seq", move |trace, m| {
                 m.iter(|| freeze_seq(trace, plus))
             })
-            .row("freeze_par", move |trace, m| {
-                freeze_assisted(m, trace, plus, 2)
-            })
             .smoke(n == 64, &["multibags", "multibags_plus", "freeze_seq"]);
         cells.push(Box::new(cell));
     }
 }
 
 /// Pass-1 freeze cost for MultiBags+ on get-dense adversarial `k ≈ n`
-/// traces, where timed-closure stamping dominates: the sequential freeze
-/// vs the work-assisted freeze at P ∈ {1, 2, 4, 8}. At P = 1 the assisted
-/// path must cost what the sequential one does; on a single-core host the
-/// P ≥ 2 rows measure scheduling overhead, not speedup.
+/// traces, where timed-closure stamping dominates. Pass 1 runs on the
+/// calling thread at every thread count, so one row per size.
 fn fig_freeze_par(cells: &mut Cells) {
     let plus = ReplayAlgorithm::MultiBagsPlus;
     for n in [64usize, 128, 256] {
         let scaled = n * scale();
         let trace = move || record_spec(&adversarial_kn(scaled, 0xfeed).spec).0;
-        let mut cell = Cell::new("fig_freeze_par", format!("fig_freeze_par/n{scaled}"), trace)
+        let cell = Cell::new("fig_freeze_par", format!("fig_freeze_par/n{scaled}"), trace)
             .row("seq", move |trace, m| m.iter(|| freeze_seq(trace, plus)));
-        for threads in [1usize, 2, 4, 8] {
-            cell = cell.row(format!("assist/P{threads}"), move |trace, m| {
-                freeze_assisted(m, trace, plus, threads)
-            });
-        }
-        cells.push(Box::new(cell.smoke(n == 64, &["seq", "assist/P2"])));
+        cells.push(Box::new(cell.smoke(n == 64, &["seq"])));
     }
 }
 

@@ -111,8 +111,8 @@ fn is_namelike(text: &str) -> bool {
     has_alpha && has_sep && depth == 0
 }
 
-/// `{…}` placeholders → `*`, so `freeze.assist.units.{label}` matches a
-/// manifest entry `freeze.assist.units.*`.
+/// `{…}` placeholders → `*`, so `pool.worker.{i}.steals` matches a
+/// manifest entry `pool.worker.*.steals`.
 fn normalize(text: &str) -> String {
     let mut out = String::new();
     let mut depth = 0u32;

@@ -202,7 +202,7 @@ fn relaxed_field_on_its_own_line_attributes_to_the_allowlist() {
 fn relaxed_on_policed_field_caught_allowlisted_field_passes() {
     let config = LintConfig::repo();
     let bad = lint_one(
-        "crates/core/src/parallel/assist.rs",
+        "crates/core/src/parallel/mod.rs",
         "impl ChunkIndex {\n    fn claim(&self) -> usize {\n        self.next.fetch_add(1, Ordering::Relaxed)\n    }\n}\n",
         &config,
     );
@@ -210,7 +210,7 @@ fn relaxed_on_policed_field_caught_allowlisted_field_passes() {
     assert_eq!(bad[0].rule, Rule::RelaxedOrdering);
 
     let allowed = lint_one(
-        "crates/core/src/parallel/assist.rs",
+        "crates/core/src/parallel/mod.rs",
         "impl ChunkIndex {\n    fn miss(&self) {\n        self.misses.fetch_add(1, Ordering::Relaxed);\n    }\n}\n",
         &config,
     );

@@ -395,6 +395,28 @@ mod tests {
         }
     }
 
+    /// A future writes a cell, and its creator gets the future before
+    /// reading the cell: the two are ordered. A default-built detector
+    /// must run MultiBags itself, not the `DSP` variant MultiBags+ keeps
+    /// inside, which skips the `get_fut` union and reports the read.
+    #[test]
+    fn default_detectors_report_as_replay_detect() {
+        use crate::replay::{replay_detect, ReplayAlgorithm};
+        let (_, trace, _) = futurerd_runtime::record_program(|cx| {
+            let mut cell = futurerd_runtime::ShadowCell::new(cx, 0u32);
+            let future = cx.create_future(|cx| cell.set(cx, 1));
+            cx.get_future(future);
+            cell.get(cx)
+        });
+        let expected = replay_detect(&trace, ReplayAlgorithm::MultiBags).expect("valid");
+        assert!(expected.is_race_free(), "{expected}");
+        let multibags = trace.replay(RaceDetector::<MultiBags>::default());
+        assert_eq!(multibags.into_report(), expected);
+        let expected = replay_detect(&trace, ReplayAlgorithm::MultiBagsPlus).expect("valid");
+        let plus = trace.replay(RaceDetector::<MultiBagsPlus>::default());
+        assert_eq!(plus.into_report(), expected);
+    }
+
     #[test]
     fn sequential_accesses_never_race() {
         let mut det = RaceDetector::structured();

@@ -34,7 +34,7 @@
 //! All query paths are `&self` with no interior mutability, so one
 //! [`ReachIndex`] is shared by every detection worker.
 
-use super::assist::FreezeAssist;
+use super::DetectExecutor;
 use crate::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
 use futurerd_dag::trace::Trace;
@@ -293,7 +293,7 @@ struct NspSet {
 }
 
 /// Sentinel for "no path" in the timed closure rows.
-pub(crate) const NEVER: Pos = Pos::MAX;
+const NEVER: Pos = Pos::MAX;
 
 /// The `R` dag over attached sets with an earliest-connection transitive
 /// closure: `earliest[a→b]` is the position of the arc insertion that first
@@ -381,7 +381,7 @@ impl TimedClosure {
         self.lists_stale = false;
     }
 
-    fn add_arc(&mut self, from: u32, to: u32, pos: Pos, assist: Option<&FreezeAssist<'_>>) {
+    fn add_arc(&mut self, from: u32, to: u32, pos: Pos) {
         debug_assert!(!self.lists_stale, "ensure_lists must run before add_arc");
         debug_assert_ne!(from, to, "R is acyclic");
         if self.earliest(from, to) != NEVER {
@@ -394,176 +394,30 @@ impl TimedClosure {
         let mut descendants = std::mem::take(&mut self.succ_list[to as usize]);
         descendants.push(to);
         let row_len = ancestors.iter().max().copied().expect("contains `from`") as usize + 1;
-        let work = ancestors.len() * descendants.len();
-        if assist.is_some_and(|a| a.should_assist(work)) {
-            // Large batch with an assist attached: publish the stamping as a
-            // batch stage — workers pull row ranges from the shared chunk
-            // index and stamp concurrently; the coordinator then applies the
-            // order-sensitive bookkeeping in exactly sequential order.
-            self.stamp_assisted(
-                &ancestors,
-                &descendants,
-                row_len,
-                pos,
-                assist.expect("checked"),
-            );
-        } else {
-            for &d in &descendants {
-                let row = &mut self.earliest_pred[d as usize];
-                if row.len() < row_len {
-                    row.resize(row_len, NEVER);
-                }
-                for &a in &ancestors {
-                    debug_assert_ne!(a, d, "arc {from}->{to} would create a cycle in R");
-                    if row[a as usize] == NEVER {
-                        row[a as usize] = pos;
-                        self.entries += 1;
-                        self.pred_list[d as usize].push(a);
-                        self.succ_list[a as usize].push(d);
-                    }
+        for &d in &descendants {
+            let row = &mut self.earliest_pred[d as usize];
+            if row.len() < row_len {
+                row.resize(row_len, NEVER);
+            }
+            for &a in &ancestors {
+                debug_assert_ne!(a, d, "arc {from}->{to} would create a cycle in R");
+                if row[a as usize] == NEVER {
+                    row[a as usize] = pos;
+                    self.entries += 1;
+                    self.pred_list[d as usize].push(a);
+                    self.succ_list[a as usize].push(d);
                 }
             }
         }
         // Put the borrowed lists back (dropping the appended self entries).
         ancestors.pop();
         descendants.pop();
-        // The loops above may have pushed new entries while the lists were
+        // The loop above may have pushed new entries while the lists were
         // taken; merge rather than overwrite.
         let from_new = std::mem::replace(&mut self.pred_list[from as usize], ancestors);
         self.pred_list[from as usize].extend(from_new);
         let to_new = std::mem::replace(&mut self.succ_list[to as usize], descendants);
         self.succ_list[to as usize].extend(to_new);
-    }
-
-    /// The work-assisted form of the stamping loops in
-    /// [`add_arc`](TimedClosure::add_arc). Two batch shapes:
-    ///
-    /// * **several descendants** — closure rows are disjoint per descendant,
-    ///   so each row is one work unit: the puller that claims it resizes and
-    ///   stamps the whole row ([`stamp_closure_row`], the standalone batch
-    ///   stage);
-    /// * **one descendant** (the dominant arc shape: into a freshly created
-    ///   node) — the single row is split into contiguous cell ranges, each
-    ///   range a work unit, with the ancestors pre-bucketed by range.
-    ///
-    /// Workers only write `pos` into `NEVER` cells inside their claimed unit
-    /// — the same values the sequential loop writes, in any order. Everything
-    /// order-sensitive (entry count, adjacency pushes) is applied here by
-    /// the coordinator afterwards, iterating descendants and ancestors in
-    /// the exact sequential order, which is what keeps the frozen index
-    /// byte-identical at every worker count.
-    fn stamp_assisted(
-        &mut self,
-        ancestors: &[u32],
-        descendants: &[u32],
-        row_len: usize,
-        pos: Pos,
-        assist: &FreezeAssist<'_>,
-    ) {
-        use std::sync::Mutex;
-        if let [d] = *descendants {
-            // One descendant: split its row into cell-range units.
-            let mut row = std::mem::take(&mut self.earliest_pred[d as usize]);
-            if row.len() < row_len {
-                row.resize(row_len, NEVER);
-            }
-            let n_units = assist.unit_count(ancestors.len(), row_len);
-            let chunk_len = row_len.div_ceil(n_units).max(1);
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); row_len.div_ceil(chunk_len)];
-            for (ord, &a) in ancestors.iter().enumerate() {
-                buckets[a as usize / chunk_len].push((ord as u32, a));
-            }
-            struct CellUnit<'r> {
-                cells: &'r mut [Pos],
-                base: u32,
-                /// `(ordinal in `ancestors`, ancestor id)` per target cell.
-                targets: Vec<(u32, u32)>,
-                fresh: Vec<u32>,
-            }
-            let units: Vec<Mutex<CellUnit<'_>>> = row
-                .chunks_mut(chunk_len)
-                .zip(buckets)
-                .enumerate()
-                .map(|(i, (cells, targets))| {
-                    Mutex::new(CellUnit {
-                        cells,
-                        base: (i * chunk_len) as u32,
-                        targets,
-                        fresh: Vec::new(),
-                    })
-                })
-                .collect();
-            assist.dispatch(units.len(), &|u| {
-                // Uncontended by the claim protocol: every unit index is
-                // claimed exactly once across all pullers.
-                let mut unit = units[u].lock().expect("no panics while stamping");
-                let CellUnit {
-                    cells,
-                    base,
-                    targets,
-                    fresh,
-                } = &mut *unit;
-                for &(ord, a) in targets.iter() {
-                    let cell = &mut cells[(a - *base) as usize];
-                    if *cell == NEVER {
-                        *cell = pos;
-                        fresh.push(ord);
-                    }
-                }
-            });
-            let mut fresh_mask = vec![false; ancestors.len()];
-            for unit in units {
-                let unit = unit.into_inner().expect("no panics while stamping");
-                for &ord in &unit.fresh {
-                    fresh_mask[ord as usize] = true;
-                }
-            }
-            self.earliest_pred[d as usize] = row;
-            for (ord, &a) in ancestors.iter().enumerate() {
-                if fresh_mask[ord] {
-                    debug_assert_ne!(a, d, "arc into {d} would create a cycle in R");
-                    self.entries += 1;
-                    self.pred_list[d as usize].push(a);
-                    self.succ_list[a as usize].push(d);
-                }
-            }
-        } else {
-            // Several descendants: each disjoint closure row is one unit.
-            struct RowUnit {
-                d: u32,
-                row: Vec<Pos>,
-                /// Newly stamped ancestors, in `ancestors` order.
-                fresh: Vec<u32>,
-            }
-            let units: Vec<Mutex<RowUnit>> = descendants
-                .iter()
-                .map(|&d| {
-                    Mutex::new(RowUnit {
-                        d,
-                        row: std::mem::take(&mut self.earliest_pred[d as usize]),
-                        fresh: Vec::new(),
-                    })
-                })
-                .collect();
-            assist.dispatch(units.len(), &|u| {
-                let mut unit = units[u].lock().expect("no panics while stamping");
-                if unit.row.len() < row_len {
-                    unit.row.resize(row_len, NEVER);
-                }
-                debug_assert!(!ancestors.contains(&unit.d), "cycle in R");
-                let RowUnit { row, fresh, .. } = &mut *unit;
-                *fresh = super::assist::stamp_closure_row(row, ancestors, pos);
-            });
-            for unit in units {
-                let RowUnit { d, row, fresh } = unit.into_inner().expect("no panics");
-                self.earliest_pred[d as usize] = row;
-                for &a in &fresh {
-                    self.entries += 1;
-                    self.pred_list[d as usize].push(a);
-                    self.succ_list[a as usize].push(d);
-                }
-            }
-        }
     }
 
     /// True iff a non-empty path `from → to` existed before position `pos`.
@@ -771,7 +625,7 @@ impl NspBuilder {
     }
 
     /// `Attachify(u)` (Figure 4, lines 18–22).
-    fn attachify(&mut self, strand: StrandId, pos: Pos, assist: Option<&FreezeAssist<'_>>) -> u32 {
+    fn attachify(&mut self, strand: StrandId, pos: Pos) -> u32 {
         let root = self.set_of(strand);
         let set = &self.frozen.sets[root as usize];
         if let Some(rnode) = FrozenNsp::attached_node_at(set, pos + 1) {
@@ -781,7 +635,7 @@ impl NspBuilder {
             unreachable!("attached births always resolve above")
         };
         let rnode = self.frozen.r.add_node();
-        self.frozen.r.add_arc(att_pred, rnode, pos, assist);
+        self.frozen.r.add_arc(att_pred, rnode, pos);
         self.frozen.sets[root as usize].attached = Some((pos, rnode));
         rnode
     }
@@ -853,19 +707,6 @@ impl ReachIndex {
     ) -> Result<Option<ReachIndex>, futurerd_dag::trace::TraceError> {
         trace.validate()?;
         Ok(freeze_with_accesses(trace, algorithm).map(|(index, _)| index))
-    }
-
-    /// As [`freeze`](ReachIndex::freeze), with the closure stamping loops
-    /// run through a work assist. The index is byte-identical to the
-    /// sequential freeze at every worker count (the freeze-determinism
-    /// property suite pins this over the whole fuzz shape corpus).
-    pub fn freeze_assisted(
-        trace: &Trace,
-        algorithm: ReplayAlgorithm,
-        assist: &FreezeAssist<'_>,
-    ) -> Result<Option<ReachIndex>, futurerd_dag::trace::TraceError> {
-        trace.validate()?;
-        Ok(freeze_with_accesses_assisted(trace, algorithm, Some(assist)).map(|(index, _)| index))
     }
 
     /// The algorithm this index was frozen from.
@@ -1022,90 +863,6 @@ impl Freezer {
             });
         }
     }
-
-    // The three handlers below take the closure-stamping arcs; they are the
-    // only ones that consult the (optional) work assist. The plain
-    // [`Observer`] impl passes `None` (pure sequential), and
-    // [`AssistedFreezer`] passes its attached assist — both drive the same
-    // update rules, so the frozen state is byte-identical by construction.
-
-    fn handle_create_future(&mut self, ev: &CreateFutureEvent, assist: Option<&FreezeAssist<'_>>) {
-        if let Some(nsp) = &mut self.nsp {
-            // Figure 4, lines 8–12.
-            let pos = self.pos;
-            let ru = nsp.attachify(ev.creator_strand, pos, assist);
-            let rv = nsp.make_attached(ev.cont_strand);
-            nsp.frozen.r.add_arc(ru, rv, pos, assist);
-            let rw = nsp.make_attached(ev.child_first_strand);
-            nsp.frozen.r.add_arc(ru, rw, pos, assist);
-        }
-        self.pos += 1;
-    }
-
-    fn handle_sync(&mut self, ev: &SyncEvent, assist: Option<&FreezeAssist<'_>>) {
-        let pos = self.pos;
-        self.bags.sync(ev, pos);
-        if let Some(nsp) = &mut self.nsp {
-            // Figure 4, lines 24–46.
-            let f = ev.fork.pre_fork_strand;
-            let s1 = ev.fork.child_first_strand;
-            let s2 = ev.fork.cont_strand;
-            let j = ev.join_strand;
-            let t1 = ev.child_last_strand;
-            let t2 = ev.pre_join_strand;
-
-            let t1_attached = nsp.is_attached(t1, pos);
-            let t2_attached = nsp.is_attached(t2, pos);
-
-            if !t1_attached && !t2_attached {
-                nsp.union_into(f, t1, pos);
-                nsp.union_into(f, t2, pos);
-                nsp.make_strand_in_set_of(j, f);
-            } else if t1_attached && t2_attached {
-                let rf = nsp.attachify(f, pos, assist);
-                let rs1 = nsp.attachify(s1, pos, assist);
-                let rs2 = nsp.attachify(s2, pos, assist);
-                nsp.frozen.r.add_arc(rf, rs1, pos, assist);
-                nsp.frozen.r.add_arc(rf, rs2, pos, assist);
-                let rj = nsp.make_attached(j);
-                let rt1 = nsp.attachify(t1, pos, assist);
-                let rt2 = nsp.attachify(t2, pos, assist);
-                nsp.frozen.r.add_arc(rt1, rj, pos, assist);
-                nsp.frozen.r.add_arc(rt2, rj, pos, assist);
-            } else {
-                let (ta, tu, sa) = if t1_attached {
-                    (t1, t2, s1)
-                } else {
-                    (t2, t1, s2)
-                };
-                if !nsp.is_attached(f, pos) {
-                    nsp.union_into(sa, f, pos);
-                }
-                nsp.make_strand_in_set_of(j, ta);
-                let rj = nsp.attachify(j, pos, assist);
-                let tu_root = nsp.set_of(tu);
-                let tu_set = &mut nsp.frozen.sets[tu_root as usize];
-                if FrozenNsp::attached_node_at(tu_set, pos + 1).is_none() {
-                    tu_set.att_succ.push((pos, rj));
-                }
-            }
-        }
-        self.pos += 1;
-    }
-
-    fn handle_get_future(&mut self, ev: &GetFutureEvent, assist: Option<&FreezeAssist<'_>>) {
-        let pos = self.pos;
-        self.bags.get_future(ev, pos);
-        if let Some(nsp) = &mut self.nsp {
-            // Figure 4, lines 14–17.
-            let ru = nsp.attachify(ev.pre_get_strand, pos, assist);
-            let rv = nsp.make_attached(ev.getter_strand);
-            nsp.frozen.r.add_arc(ru, rv, pos, assist);
-            let rw = nsp.attachify(ev.future_last_strand, pos, assist);
-            nsp.frozen.r.add_arc(rw, rv, pos, assist);
-        }
-        self.pos += 1;
-    }
 }
 
 impl Observer for Freezer {
@@ -1133,7 +890,16 @@ impl Observer for Freezer {
     }
 
     fn on_create_future(&mut self, ev: &CreateFutureEvent) {
-        self.handle_create_future(ev, None);
+        if let Some(nsp) = &mut self.nsp {
+            // Figure 4, lines 8–12.
+            let pos = self.pos;
+            let ru = nsp.attachify(ev.creator_strand, pos);
+            let rv = nsp.make_attached(ev.cont_strand);
+            nsp.frozen.r.add_arc(ru, rv, pos);
+            let rw = nsp.make_attached(ev.child_first_strand);
+            nsp.frozen.r.add_arc(ru, rw, pos);
+        }
+        self.pos += 1;
     }
 
     fn on_return(&mut self, function: FunctionId, _last: StrandId) {
@@ -1142,11 +908,68 @@ impl Observer for Freezer {
     }
 
     fn on_sync(&mut self, ev: &SyncEvent) {
-        self.handle_sync(ev, None);
+        let pos = self.pos;
+        self.bags.sync(ev, pos);
+        if let Some(nsp) = &mut self.nsp {
+            // Figure 4, lines 24–46.
+            let f = ev.fork.pre_fork_strand;
+            let s1 = ev.fork.child_first_strand;
+            let s2 = ev.fork.cont_strand;
+            let j = ev.join_strand;
+            let t1 = ev.child_last_strand;
+            let t2 = ev.pre_join_strand;
+
+            let t1_attached = nsp.is_attached(t1, pos);
+            let t2_attached = nsp.is_attached(t2, pos);
+
+            if !t1_attached && !t2_attached {
+                nsp.union_into(f, t1, pos);
+                nsp.union_into(f, t2, pos);
+                nsp.make_strand_in_set_of(j, f);
+            } else if t1_attached && t2_attached {
+                let rf = nsp.attachify(f, pos);
+                let rs1 = nsp.attachify(s1, pos);
+                let rs2 = nsp.attachify(s2, pos);
+                nsp.frozen.r.add_arc(rf, rs1, pos);
+                nsp.frozen.r.add_arc(rf, rs2, pos);
+                let rj = nsp.make_attached(j);
+                let rt1 = nsp.attachify(t1, pos);
+                let rt2 = nsp.attachify(t2, pos);
+                nsp.frozen.r.add_arc(rt1, rj, pos);
+                nsp.frozen.r.add_arc(rt2, rj, pos);
+            } else {
+                let (ta, tu, sa) = if t1_attached {
+                    (t1, t2, s1)
+                } else {
+                    (t2, t1, s2)
+                };
+                if !nsp.is_attached(f, pos) {
+                    nsp.union_into(sa, f, pos);
+                }
+                nsp.make_strand_in_set_of(j, ta);
+                let rj = nsp.attachify(j, pos);
+                let tu_root = nsp.set_of(tu);
+                let tu_set = &mut nsp.frozen.sets[tu_root as usize];
+                if FrozenNsp::attached_node_at(tu_set, pos + 1).is_none() {
+                    tu_set.att_succ.push((pos, rj));
+                }
+            }
+        }
+        self.pos += 1;
     }
 
     fn on_get_future(&mut self, ev: &GetFutureEvent) {
-        self.handle_get_future(ev, None);
+        let pos = self.pos;
+        self.bags.get_future(ev, pos);
+        if let Some(nsp) = &mut self.nsp {
+            // Figure 4, lines 14–17.
+            let ru = nsp.attachify(ev.pre_get_strand, pos);
+            let rv = nsp.make_attached(ev.getter_strand);
+            nsp.frozen.r.add_arc(ru, rv, pos);
+            let rw = nsp.attachify(ev.future_last_strand, pos);
+            nsp.frozen.r.add_arc(rw, rv, pos);
+        }
+        self.pos += 1;
     }
 
     fn on_read(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
@@ -1164,58 +987,6 @@ impl Observer for Freezer {
     }
 }
 
-/// A [`Freezer`] with a [`FreezeAssist`] attached: the same replay observer,
-/// except the three closure-stamping handlers run their hot loops through
-/// the work-assisted batch stage. Borrowing the freezer (rather than storing
-/// the assist inside it) keeps [`IncrementalFreezer`] free of executor
-/// lifetimes — an assist is attached per `extend` call.
-struct AssistedFreezer<'f, 'e> {
-    freezer: &'f mut Freezer,
-    assist: &'e FreezeAssist<'e>,
-}
-
-impl Observer for AssistedFreezer<'_, '_> {
-    fn on_program_start(&mut self, root: FunctionId, first: StrandId) {
-        self.freezer.on_program_start(root, first);
-    }
-
-    fn on_strand_start(&mut self, strand: StrandId, function: FunctionId) {
-        self.freezer.on_strand_start(strand, function);
-    }
-
-    fn on_spawn(&mut self, ev: &SpawnEvent) {
-        self.freezer.on_spawn(ev);
-    }
-
-    fn on_create_future(&mut self, ev: &CreateFutureEvent) {
-        self.freezer.handle_create_future(ev, Some(self.assist));
-    }
-
-    fn on_return(&mut self, function: FunctionId, last: StrandId) {
-        self.freezer.on_return(function, last);
-    }
-
-    fn on_sync(&mut self, ev: &SyncEvent) {
-        self.freezer.handle_sync(ev, Some(self.assist));
-    }
-
-    fn on_get_future(&mut self, ev: &GetFutureEvent) {
-        self.freezer.handle_get_future(ev, Some(self.assist));
-    }
-
-    fn on_read(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
-        self.freezer.on_read(strand, addr, size);
-    }
-
-    fn on_write(&mut self, strand: StrandId, addr: MemAddr, size: usize) {
-        self.freezer.on_write(strand, addr, size);
-    }
-
-    fn on_program_end(&mut self, last: StrandId) {
-        self.freezer.on_program_end(last);
-    }
-}
-
 /// Pass 1: one replay, producing the frozen index and the granule-level
 /// access stream. The trace must already be validated. Returns `None` for
 /// algorithms without a frozen form.
@@ -1223,33 +994,13 @@ pub(crate) fn freeze_with_accesses(
     trace: &Trace,
     algorithm: ReplayAlgorithm,
 ) -> Option<(ReachIndex, Vec<GranuleAccess>)> {
-    freeze_with_accesses_assisted(trace, algorithm, None)
-}
-
-/// As [`freeze_with_accesses`], with an optional work assist: the replay
-/// itself stays task-ordered on the calling thread, but large closure
-/// stamping batches run through the assist's executor.
-pub(crate) fn freeze_with_accesses_assisted(
-    trace: &Trace,
-    algorithm: ReplayAlgorithm,
-    assist: Option<&FreezeAssist<'_>>,
-) -> Option<(ReachIndex, Vec<GranuleAccess>)> {
     assert!(
         trace.len() < u32::MAX as usize,
         "trace positions are 32-bit; {}-event trace is too large",
         trace.len()
     );
     let mut freezer = Freezer::new(algorithm)?;
-    match assist {
-        None => futurerd_dag::trace::replay_events(trace.events(), &mut freezer),
-        Some(assist) => futurerd_dag::trace::replay_events(
-            trace.events(),
-            &mut AssistedFreezer {
-                freezer: &mut freezer,
-                assist,
-            },
-        ),
-    }
+    futurerd_dag::trace::replay_events(trace.events(), &mut freezer);
     let inner = match freezer.nsp {
         None => IndexInner::MultiBags(freezer.bags.frozen),
         Some(nsp) => IndexInner::MultiBagsPlus {
@@ -1316,6 +1067,21 @@ pub struct IncrementalFreezer {
     freezer: Freezer,
 }
 
+/// Kept only for perfbench's traced run, which still builds one: pass 1
+/// runs on the calling thread at every thread count, so this carries
+/// nothing and [`IncrementalFreezer::extend_assisted`] ignores it. Both go
+/// when perfbench stops importing them (ROADMAP direction 1).
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct FreezeAssist;
+
+impl FreezeAssist {
+    /// Ignores its arguments.
+    pub fn new(_workers: usize, _executor: &dyn DetectExecutor) -> Self {
+        Self
+    }
+}
+
 impl IncrementalFreezer {
     /// Creates an empty freezer for `algorithm`. Returns `None` for
     /// algorithms without a frozen form (SP-Bags and the graph oracle).
@@ -1343,54 +1109,31 @@ impl IncrementalFreezer {
     /// `Trace::validate_prefix`) and for passing events in order without
     /// gaps.
     pub fn extend(&mut self, events: &[futurerd_dag::trace::TraceEvent]) {
-        if self.prepare_extend(events) {
-            let _span = futurerd_obs::Span::enter(futurerd_obs::names::FREEZE);
-            futurerd_dag::trace::replay_events(events, &mut self.freezer);
-        }
-    }
-
-    /// As [`extend`](IncrementalFreezer::extend), with large closure
-    /// stamping batches run through the given work assist. The frozen state
-    /// after the call is byte-identical to what `extend` would have
-    /// produced, at every worker count — the assist only changes *where*
-    /// the stamping loops run, never what they write.
-    ///
-    /// The assist is borrowed per call (not stored), so a session can keep
-    /// one resident freezer and attach whatever pool its next report is
-    /// running on.
-    pub fn extend_assisted(
-        &mut self,
-        events: &[futurerd_dag::trace::TraceEvent],
-        assist: &FreezeAssist<'_>,
-    ) {
-        if self.prepare_extend(events) {
-            let _span = futurerd_obs::Span::enter(futurerd_obs::names::FREEZE);
-            futurerd_dag::trace::replay_events(
-                events,
-                &mut AssistedFreezer {
-                    freezer: &mut self.freezer,
-                    assist,
-                },
-            );
-        }
-    }
-
-    /// Shared prologue of the extend paths: size check + lazy adjacency
-    /// rebuild. Returns false when there is nothing to replay.
-    fn prepare_extend(&mut self, events: &[futurerd_dag::trace::TraceEvent]) -> bool {
         assert!(
             self.freezer.pos as usize + events.len() < u32::MAX as usize,
             "trace positions are 32-bit; the extended stream is too large"
         );
         if events.is_empty() {
-            return false;
+            return;
         }
         if let Some(nsp) = &mut self.freezer.nsp {
             // A raw import defers the closure's adjacency lists (warm query
             // paths never need them); new arcs do.
             nsp.frozen.r.ensure_lists();
         }
-        true
+        let _span = futurerd_obs::Span::enter(futurerd_obs::names::FREEZE);
+        futurerd_dag::trace::replay_events(events, &mut self.freezer);
+    }
+
+    /// [`extend`](Self::extend), for perfbench's traced run only (see
+    /// [`FreezeAssist`]).
+    #[doc(hidden)]
+    pub fn extend_assisted(
+        &mut self,
+        events: &[futurerd_dag::trace::TraceEvent],
+        _assist: &FreezeAssist,
+    ) {
+        self.extend(events);
     }
 
     /// The granule-level access stream extracted so far, in trace order.

@@ -50,15 +50,12 @@
 //! work-stealing pool of `futurerd-runtime` in instead (its `PoolExecutor`),
 //! so detection — not just capture — runs on the pool.
 
-mod assist;
 mod freeze;
 mod oneshot;
 mod shard;
 
-pub use assist::{
-    stamp_closure_row, AssistExecutor, ChunkIndex, ChunkIndexCore, ChunkIter, FreezeAssist,
-    DEFAULT_MIN_BATCH,
-};
+#[doc(hidden)]
+pub use freeze::FreezeAssist;
 pub use freeze::{
     FrozenBags, FrozenNsp, GranuleAccess, IncrementalFreezer, Pos, RawBagSet, RawBags, RawFreeze,
     RawIndexError, RawNsp, RawNspSet, ReachIndex, RAW_NONE,
@@ -73,7 +70,9 @@ use crate::races::RaceReport;
 use crate::reachability::{MultiBags, MultiBagsPlus};
 use crate::replay::{replay_detect_unchecked, ReplayAlgorithm};
 use crate::stats::DetectorStats;
+use futurerd_check::sync::{AtomicIntShim, AtomicShim, Ordering, RealShim, SyncShim};
 use futurerd_dag::trace::{Trace, TraceCounts, TraceError};
+use std::ops::Range;
 
 /// Runs a batch of independent detection workers to completion.
 ///
@@ -115,6 +114,91 @@ impl DetectExecutor for StdExecutor {
             // The caller works instead of parking until the others finish.
             first();
         });
+    }
+}
+
+/// A shared self-scheduling chunk index: `len` work units that any number
+/// of pullers claim in disjoint `chunk`-sized ranges, one `fetch_add` per
+/// claim, until the units run out.
+///
+/// Over all pullers every unit index in `0..len` is claimed **exactly
+/// once**: `fetch_add` hands each caller a private starting offset, so
+/// ranges never overlap, and a puller stops only once its claimed start is
+/// past `len`, so nothing is dropped. A unit test stresses this under
+/// thread contention, and the `futurerd-trace check` suite proves it for
+/// small configurations by exploring the generic core under the model
+/// shim.
+/// Nothing in the engines claims through it yet; pass 2 is to claim its
+/// ranges with it (ROADMAP direction 5).
+pub struct ChunkIndexCore<S: SyncShim> {
+    next: S::AtomicUsize,
+    len: usize,
+    chunk: usize,
+    misses: S::AtomicU64,
+}
+
+/// The production instantiation: [`ChunkIndexCore`] over the zero-cost
+/// real-atomics shim.
+pub type ChunkIndex = ChunkIndexCore<RealShim>;
+
+impl<S: SyncShim> std::fmt::Debug for ChunkIndexCore<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChunkIndex")
+            .field("len", &self.len)
+            .field("chunk", &self.chunk)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<S: SyncShim> ChunkIndexCore<S> {
+    /// Creates an index over `len` units, claimed `chunk` at a time.
+    pub fn new(len: usize, chunk: usize) -> Self {
+        assert!(chunk > 0, "chunk size must be positive");
+        Self {
+            next: S::AtomicUsize::new(0),
+            len,
+            chunk,
+            misses: S::AtomicU64::new(0),
+        }
+    }
+
+    /// Claims the next unclaimed unit range, or `None` once the index is
+    /// drained. Safe to call from any number of threads concurrently.
+    ///
+    /// AcqRel: the claim is the publication point a puller synchronizes
+    /// through before touching its units, so the claim protocol stays a
+    /// valid handoff even if unit payloads stop being single-owner. (The
+    /// miss counter stays `Relaxed`; it guards nothing.)
+    pub fn claim(&self) -> Option<Range<usize>> {
+        let start = self.next.fetch_add(self.chunk, Ordering::AcqRel);
+        if start >= self.len {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(start..(start + self.chunk).min(self.len))
+    }
+
+    /// Number of claims that found the index already drained. Every puller
+    /// pays exactly one miss to learn the units are gone, so the excess
+    /// over the puller count measures `fetch_add` overshoot under
+    /// contention.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Total number of work units published.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the index was created over zero units.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The per-claim range size.
+    pub fn chunk_size(&self) -> usize {
+        self.chunk
     }
 }
 
@@ -264,6 +348,60 @@ mod tests {
     use futurerd_dag::events::{ForkInfo, SpawnEvent, SyncEvent};
     use futurerd_dag::trace::TraceEvent;
     use futurerd_dag::{FunctionId, MemAddr, StrandId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn chunk_index_single_thread_claims_every_range_in_order() {
+        let index = ChunkIndex::new(10, 3);
+        let mut claimed = Vec::new();
+        while let Some(range) = index.claim() {
+            claimed.push(range);
+        }
+        assert_eq!(claimed, vec![0..3, 3..6, 6..9, 9..10]);
+        // Drained stays drained.
+        assert!(index.claim().is_none());
+        assert!(ChunkIndex::new(0, 4).claim().is_none());
+        // Chunk larger than the unit count: one full range.
+        assert_eq!(ChunkIndex::new(3, 64).claim(), Some(0..3));
+    }
+
+    /// The index's core guarantee: under thread contention every unit is
+    /// claimed exactly once — no range claimed twice, no range dropped.
+    #[test]
+    fn chunk_index_claims_are_exact_under_contention() {
+        let mut rng = StdRng::seed_from_u64(0xc1a1);
+        for trial in 0..20 {
+            let threads = [2, 3, 4, 8][trial % 4];
+            let len = rng.gen_range(1..5_000);
+            let chunk = rng.gen_range(1..64);
+            let index = ChunkIndex::new(len, chunk);
+            let mut per_thread: Vec<Vec<Range<usize>>> = vec![Vec::new(); threads];
+            std::thread::scope(|scope| {
+                for claimed in per_thread.iter_mut() {
+                    scope.spawn(|| {
+                        while let Some(range) = index.claim() {
+                            claimed.push(range);
+                        }
+                    });
+                }
+            });
+            let mut seen = vec![0u32; len];
+            for range in per_thread.iter().flatten() {
+                assert!(range.end <= len, "claim past the end: {range:?}");
+                assert_eq!(range.len().min(chunk), range.len(), "oversized claim");
+                for unit in range.clone() {
+                    seen[unit] += 1;
+                }
+            }
+            assert!(
+                seen.iter().all(|&count| count == 1),
+                "trial {trial} (len {len}, chunk {chunk}, {threads} threads): \
+                 some unit claimed {:?} times",
+                seen.iter().copied().filter(|&c| c != 1).collect::<Vec<_>>()
+            );
+        }
+    }
 
     /// A fork-join trace touching two distant granules, one of them racy.
     fn two_granule_trace() -> Trace {

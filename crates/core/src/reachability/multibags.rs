@@ -45,7 +45,7 @@ impl Bag {
 
 /// Reachability for structured futures in `O(α(m,n))` amortized per
 /// operation.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MultiBags {
     bags: TaggedDisjointSets<Bag>,
     /// Disjoint-set element of each strand (indexed by strand id).
@@ -62,22 +62,34 @@ pub struct MultiBags {
     queries: u64,
 }
 
+// `MultiBags::new()`, not the `DSP` variant MultiBags+ keeps inside.
+impl Default for MultiBags {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl MultiBags {
     /// Creates the reachability structure for structured futures.
     pub fn new() -> Self {
-        Self {
-            union_on_get: true,
-            ..Default::default()
-        }
+        Self::with_union_on_get(true)
     }
 
     /// Creates the `DSP` variant used inside MultiBags+: identical, except
     /// that nothing happens on `get_fut` (Section 5, "Reachability data
     /// structures").
     pub(crate) fn dsp_for_multibags_plus() -> Self {
+        Self::with_union_on_get(false)
+    }
+
+    fn with_union_on_get(union_on_get: bool) -> Self {
         Self {
-            union_on_get: false,
-            ..Default::default()
+            bags: TaggedDisjointSets::new(),
+            elem_of: Vec::new(),
+            first_strand: Vec::new(),
+            current: StrandId::default(),
+            union_on_get,
+            queries: 0,
         }
     }
 

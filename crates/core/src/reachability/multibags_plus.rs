@@ -50,7 +50,7 @@ enum NspTag {
 }
 
 /// Reachability for general futures (Section 5).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MultiBagsPlus {
     /// The series-parallel bags (`DSP`).
     dsp: MultiBags,
@@ -67,12 +67,23 @@ pub struct MultiBagsPlus {
     unexpected_attachifies: u64,
 }
 
+impl Default for MultiBagsPlus {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl MultiBagsPlus {
     /// Creates the reachability structure for general futures.
     pub fn new() -> Self {
         Self {
             dsp: MultiBags::dsp_for_multibags_plus(),
-            ..Default::default()
+            dnsp: TaggedDisjointSets::new(),
+            nsp_elem: Vec::new(),
+            r: RGraph::new(),
+            current: StrandId::default(),
+            queries: 0,
+            unexpected_attachifies: 0,
         }
     }
 

@@ -147,9 +147,7 @@ mod session;
 pub use error::Error;
 pub use futurerd_core::detector::{InstrumentationOnly, RaceDetector, ReachabilityOnly};
 pub use futurerd_core::parallel;
-pub use futurerd_core::parallel::{
-    par_replay_detect, AssistExecutor, DetectExecutor, FreezeAssist, ReachIndex,
-};
+pub use futurerd_core::parallel::{par_replay_detect, DetectExecutor, ReachIndex};
 pub use futurerd_core::replay;
 pub use futurerd_core::stats::{DetectorStats, ReachStats};
 pub use futurerd_core::{AccessKind, Race, RaceReport};
@@ -299,9 +297,9 @@ impl Config {
     /// ([`parallel::oneshot_workers`]), since every extra worker repeats
     /// the reachability work. Sessions and the store run the two-pass
     /// engine instead (`futurerd-core::parallel`), because they resume and
-    /// persist its state: pass 1 freezes the reachability structure, and
-    /// pass 2 shards detection over contiguous granule ranges balanced by
-    /// access count.
+    /// persist its state: pass 1 freezes the reachability structure on the
+    /// calling thread, and pass 2 shards detection over contiguous granule
+    /// ranges balanced by access count.
     /// The [`RaceReport`] is identical at any thread count on every path.
     /// Other algorithms and partial analyses replay in a single pass
     /// regardless of this setting.
@@ -742,12 +740,6 @@ impl std::fmt::Debug for PoolExecutor<'_> {
 impl DetectExecutor for PoolExecutor<'_> {
     fn run_batch<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
         self.0.run_batch(tasks);
-    }
-}
-
-impl AssistExecutor for PoolExecutor<'_> {
-    fn assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
-        self.0.run_assist(helpers, body);
     }
 }
 

@@ -7,8 +7,7 @@ use crate::{
     sequential_detection, summary_from_counts, Algorithm, Analysis, Config, Detection, PoolExecutor,
 };
 use futurerd_core::parallel::{
-    merge_outcomes_stats, Advance, AssistExecutor, DetectExecutor, FreezeAssist,
-    IncrementalFreezer, PartitionSet, StdExecutor,
+    merge_outcomes_stats, Advance, DetectExecutor, IncrementalFreezer, PartitionSet, StdExecutor,
 };
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::source::EventSource;
@@ -187,12 +186,7 @@ impl Config {
             .map(|outcomes| PartitionSet::cached(outcomes, freezer.accesses().len()));
         let mut validator = PrefixValidator::new();
         validator.extend(state.trace.events())?;
-        extend_freezer_pooled(
-            &mut freezer,
-            &state.trace.events()[frozen_pos..],
-            self.threads,
-            None,
-        );
+        freezer.extend(&state.trace.events()[frozen_pos..]);
         Ok(Session {
             config: self,
             validator,
@@ -279,9 +273,8 @@ impl<'s> Session<'s> {
         let accepted = &events[..self.validator.position() - before];
         if !accepted.is_empty() {
             self.trace.extend_events(accepted);
-            let (threads, pool) = (self.config.threads, self.pool);
             if let Some(engine) = &mut self.engine {
-                extend_freezer_pooled(&mut engine.freezer, accepted, threads, pool);
+                engine.freezer.extend(accepted);
             }
             self.dirty = true;
         }
@@ -496,38 +489,6 @@ impl DetectExecutor for AnyExec<'_> {
             AnyExec::Std(std) => std.run_batch(tasks),
         }
     }
-}
-
-impl AssistExecutor for AnyExec<'_> {
-    fn assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
-        match self {
-            AnyExec::Pool(pool) => pool.assist(helpers, body),
-            AnyExec::Std(std) => std.assist(helpers, body),
-        }
-    }
-}
-
-/// Extends a resident freezer with an event chunk, routing large
-/// closure-stamping batches through pool workers when the session is
-/// configured for parallel detection (`threads > 1`): the caller's pool if
-/// one was attached via [`Session::on_pool`], the process-shared pool of
-/// the configured size otherwise. At `threads == 1` this is a plain
-/// sequential [`IncrementalFreezer::extend`] — no batch dispatch at all.
-/// Either way the frozen state is byte-identical.
-fn extend_freezer_pooled(
-    freezer: &mut IncrementalFreezer,
-    events: &[TraceEvent],
-    threads: usize,
-    pool: Option<&ThreadPool>,
-) {
-    if threads <= 1 {
-        freezer.extend(events);
-        return;
-    }
-    let shared = pool.is_none().then(|| ThreadPool::shared(threads));
-    let pool = pool.unwrap_or_else(|| shared.as_deref().expect("just built"));
-    let executor = PoolExecutor(pool);
-    freezer.extend_assisted(events, &FreezeAssist::new(threads, &executor));
 }
 
 #[cfg(test)]

@@ -21,10 +21,6 @@
 //! * the facade's one-shot [`Config::replay`] at the same widths (the
 //!   single pass at P=1, one single pass per worker above it, at most one
 //!   per core), held to the same byte-identity bar;
-//! * the work-assisted pass-1 freeze at P ∈ {2, 8} with forced-low batch
-//!   thresholds, whose frozen state must equal the sequential freeze **bit
-//!   for bit** ([`IncrementalFreezer::to_raw`]) — any mismatch is a real
-//!   scheduling bug;
 //! * streaming [`Session`](futurerd::Session)s over random chunkings of the
 //!   same events, with a mid-stream report to force the incremental path;
 //! * persistent store round-trips through stored sessions
@@ -49,9 +45,7 @@ pub mod fixture;
 pub mod shrink;
 
 use futurerd::{Config, Store};
-use futurerd_core::parallel::{
-    par_replay_detect_with, FreezeAssist, IncrementalFreezer, StdExecutor,
-};
+use futurerd_core::parallel::{par_replay_detect_with, StdExecutor};
 use futurerd_core::races::{AccessKind, Race, RaceReport};
 use futurerd_core::replay::{replay_detect_unchecked, ApproximationError, ReplayAlgorithm};
 use futurerd_dag::genprog::{Action, FunctionSpec, ProgramSpec};
@@ -487,12 +481,9 @@ pub fn fuzz_seed(seed: u64, opts: &FuzzOptions, store: Option<&mut Store>) -> Se
 
 /// Single-process classification: replays every runnable algorithm
 /// (applying the planted [`Mutation`], if any) and measures each verdict
-/// against the oracle's racy-granule set, then pushes every freezable
-/// algorithm through the work-assisted pass-1 freeze at P ∈ {2, 8} and
-/// byte-compares the frozen state against the sequential freeze. The
-/// `seed`/`shape` fields of the returned divergences are placeholders —
-/// [`fuzz_seed`] fills them in; the shrinker uses this directly as its
-/// failure predicate.
+/// against the oracle's racy-granule set. The `seed`/`shape` fields of the
+/// returned divergences are placeholders — [`fuzz_seed`] fills them in;
+/// the shrinker uses this directly as its failure predicate.
 pub fn classify_sequential(trace: &Trace, mutation: Option<Mutation>) -> Vec<Divergence> {
     let oracle = replay_detect_unchecked(trace, ReplayAlgorithm::GraphOracle);
     let mut divergences = Vec::new();
@@ -524,42 +515,6 @@ pub fn classify_sequential(trace: &Trace, mutation: Option<Mutation>) -> Vec<Div
                 format!("approximate verdict outside the sound class ({error})")
             },
         });
-    }
-    // The work-assisted pass-1 freeze carries a byte-identity contract: the
-    // frozen state it leaves behind must equal the sequential freeze bit for
-    // bit at every worker count. Any mismatch is a real scheduling bug, so it
-    // is classified (and shrunk) exactly like the other parallel paths. The
-    // thresholds are forced low so even shrunken traces exercise real
-    // chunking.
-    for algorithm in ReplayAlgorithm::ALL {
-        if !algorithm.freezable() {
-            continue;
-        }
-        let mut seq = IncrementalFreezer::new(algorithm).expect("freezable algorithm");
-        seq.extend(trace.events());
-        let expected = seq.to_raw();
-        let executor = StdExecutor;
-        for workers in [2usize, 8] {
-            let assist = FreezeAssist::new(workers, &executor)
-                .with_min_batch(2)
-                .with_unit_target(4);
-            let mut par = IncrementalFreezer::new(algorithm).expect("freezable algorithm");
-            par.extend_assisted(trace.events(), &assist);
-            if par.to_raw() != expected {
-                divergences.push(Divergence {
-                    seed: 0,
-                    shape: FuzzShape::Structured,
-                    algorithm,
-                    path: format!("freeze(P={workers})"),
-                    kind: DivergenceKind::RealBug,
-                    missed: 0,
-                    spurious: 0,
-                    detail: "work-assisted freeze left a different frozen state \
-                             than the sequential pass"
-                        .to_string(),
-                });
-            }
-        }
     }
     divergences
 }

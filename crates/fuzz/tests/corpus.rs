@@ -5,7 +5,7 @@
 //! byte-identical to sequential replay.
 
 use futurerd::{Config, Store};
-use futurerd_core::parallel::{par_replay_detect, FreezeAssist, IncrementalFreezer, StdExecutor};
+use futurerd_core::parallel::par_replay_detect;
 use futurerd_core::replay::{replay_detect_unchecked, ReplayAlgorithm};
 use futurerd_dag::trace::Trace;
 use futurerd_fuzz::classify_sequential;
@@ -147,38 +147,6 @@ fn every_fixture_matches_sequential_through_sessions_and_the_store() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn every_fixture_freezes_byte_identically_under_assists() {
-    // The committed corpus doubles as a regression net for the
-    // work-assisted pass-1 freeze: every fixture trace, frozen with worker
-    // assists at P ∈ {2, 8} and single-stamp work units, must leave exactly
-    // the frozen state the sequential freeze leaves.
-    let executor = StdExecutor;
-    for fixture in load_fixtures(&corpus_dir()).expect("tests/fixtures must load") {
-        let name = &fixture.name;
-        for algorithm in ReplayAlgorithm::ALL {
-            if !algorithm.freezable() {
-                continue;
-            }
-            let mut seq = IncrementalFreezer::new(algorithm).expect("freezable algorithm");
-            seq.extend(fixture.trace.events());
-            let expected = seq.to_raw();
-            for workers in [2usize, 8] {
-                let assist = FreezeAssist::new(workers, &executor)
-                    .with_min_batch(1)
-                    .with_unit_target(1);
-                let mut par = IncrementalFreezer::new(algorithm).expect("freezable algorithm");
-                par.extend_assisted(fixture.trace.events(), &assist);
-                assert_eq!(
-                    par.to_raw(),
-                    expected,
-                    "{name}: {algorithm} assisted freeze diverged at P={workers}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -32,10 +32,8 @@
 //! | `detect`    | pass-2 sharded shadow-memory detection                 |
 //! | `merge`     | deterministic outcome merge                            |
 //!
-//! Nested and worker-side stages refine those: `freeze.assist.dispatch`
-//! (coordinator-side batch publication), `freeze.assist.stamp`
-//! (worker-side pull loops), `detect.ranges` (choosing the partition
-//! boundaries), `detect.partition` (per-partition tasks),
+//! Nested and worker-side stages refine those: `detect.ranges` (choosing
+//! the partition boundaries), `detect.partition` (per-worker tasks),
 //! `store.sidecar.encode` / `store.sidecar.decode`,
 //! `store.trace.encode` / `store.trace.decode`, and per-path report
 //! timings `session.report.cold|warm_index|warm_cached|incremental`.
@@ -45,8 +43,9 @@
 //! Spans record into per-thread buffers (one uncontended mutex per
 //! thread), merged deterministically — sorted by stage name — at
 //! [`snapshot`] time. Pool workers call [`set_thread_label`] once at
-//! spawn; per-worker metrics embed the label in the metric name
-//! (`freeze.assist.units.worker.3`).
+//! spawn, and each interval of the timeline journal carries its thread's
+//! label; per-worker metrics embed the worker's index in the metric name
+//! (`pool.worker.3.steals`).
 //!
 //! ## Timeline journal
 //!
@@ -59,7 +58,7 @@
 //! blocks on a full journal and surviving intervals keep their order.
 //! [`timeline()`] merges the rings deterministically (sorted by
 //! `(start, thread, stage)`); see [`Timeline`] for the derived analyses
-//! (worker utilization, assist dispatch latency, partition overlap) and
+//! (worker utilization, partition overlap) and
 //! [`export::export_chrome_trace`] / [`export::export_timeline_text`]
 //! for the exporters.
 

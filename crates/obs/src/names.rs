@@ -32,10 +32,6 @@ pub const MERGE: &str = "merge";
 pub const DETECT_PARTITION: &str = "detect.partition";
 /// Choosing the pass-2 partition boundaries (coordinator side).
 pub const DETECT_RANGES: &str = "detect.ranges";
-/// Coordinator-side publication of one stamping batch.
-pub const FREEZE_ASSIST_DISPATCH: &str = "freeze.assist.dispatch";
-/// Worker-side pull loop over one stamping batch.
-pub const FREEZE_ASSIST_STAMP: &str = "freeze.assist.stamp";
 
 /// Sidecar serialization.
 pub const STORE_SIDECAR_ENCODE: &str = "store.sidecar.encode";
@@ -59,10 +55,6 @@ pub const SESSION_REPORT_INCREMENTAL: &str = "session.report.incremental";
 
 /// Events accepted by session ingest.
 pub const SESSION_INGEST_EVENTS: &str = "session.ingest.events";
-/// Stamping batches published by the work-assisted freeze.
-pub const FREEZE_ASSIST_BATCHES: &str = "freeze.assist.batches";
-/// Drained-index claims (one per puller + contention overshoot).
-pub const FREEZE_ASSIST_INDEX_MISSES: &str = "freeze.assist.index_misses";
 /// Sidecar bytes written.
 pub const STORE_SIDECAR_ENCODED_BYTES: &str = "store.sidecar.encoded_bytes";
 /// Sidecar bytes read.
@@ -92,8 +84,6 @@ pub const MANIFEST: &[&str] = &[
     MERGE,
     DETECT_PARTITION,
     DETECT_RANGES,
-    FREEZE_ASSIST_DISPATCH,
-    FREEZE_ASSIST_STAMP,
     STORE_SIDECAR_ENCODE,
     STORE_SIDECAR_DECODE,
     STORE_TRACE_ENCODE,
@@ -106,11 +96,6 @@ pub const MANIFEST: &[&str] = &[
     SESSION_INGEST_EVENTS,
     "session.path.*",
     "store.path.*",
-    FREEZE_ASSIST_BATCHES,
-    FREEZE_ASSIST_INDEX_MISSES,
-    "freeze.assist.units.*",
-    "freeze.assist.units.worker.*",
-    "freeze.assist.units.detect.*",
     STORE_SIDECAR_ENCODED_BYTES,
     STORE_SIDECAR_DECODED_BYTES,
     STORE_TRACE_ENCODED_BYTES,
@@ -182,8 +167,6 @@ mod tests {
             super::MERGE,
             super::DETECT_PARTITION,
             super::DETECT_RANGES,
-            super::FREEZE_ASSIST_DISPATCH,
-            super::FREEZE_ASSIST_STAMP,
             super::SESSION_INGEST_EVENTS,
             super::OBS_TIMELINE_DROPPED,
         ] {

@@ -10,9 +10,6 @@
 //! * **per-worker utilization** ([`Timeline::utilization`]) — how busy
 //!   each thread actually was over the journal's wall-clock window, with
 //!   overlapping (nested) spans union-merged so nothing double-counts;
-//! * **dispatch → first-claim latency** ([`Timeline::dispatch_latencies`])
-//!   — for each `freeze.assist.dispatch` batch, how long until the first
-//!   helper's `freeze.assist.stamp` pull loop opened;
 //! * **partition overlap** ([`Timeline::parallelism_profile`]) — how much
 //!   wall time `detect.partition` (or any stage) spent at each
 //!   concurrency level, i.e. whether partitions actually overlapped;
@@ -166,29 +163,6 @@ impl Timeline {
                     intervals,
                     utilization: busy_ns as f64 / window as f64,
                 }
-            })
-            .collect()
-    }
-
-    /// For each `freeze.assist.dispatch` interval (the coordinator
-    /// publishing a stamping batch), the nanoseconds until the first
-    /// `freeze.assist.stamp` pull loop opened inside that dispatch — the
-    /// batch's dispatch→first-claim latency. Dispatches during which no
-    /// helper ever started are omitted (nothing claimed concurrently).
-    pub fn dispatch_latencies(&self) -> Vec<u64> {
-        self.intervals
-            .iter()
-            .filter(|i| i.stage == "freeze.assist.dispatch")
-            .filter_map(|dispatch| {
-                self.intervals
-                    .iter()
-                    .filter(|i| {
-                        i.stage == "freeze.assist.stamp"
-                            && i.start_ns >= dispatch.start_ns
-                            && i.start_ns < dispatch.end_ns
-                    })
-                    .map(|stamp| stamp.start_ns - dispatch.start_ns)
-                    .min()
             })
             .collect()
     }
@@ -386,16 +360,6 @@ mod tests {
         assert_eq!(util[1].thread, "worker.0");
         assert_eq!(util[1].busy_ns, 90);
         assert_eq!(util[1].intervals, 2);
-    }
-
-    #[test]
-    fn dispatch_latency_is_first_claim_delta() {
-        let tl = sample();
-        assert_eq!(tl.dispatch_latencies(), vec![5]);
-        // A dispatch with no stamp inside it is omitted.
-        let mut quiet = sample();
-        quiet.intervals.retain(|i| i.stage != "freeze.assist.stamp");
-        assert!(quiet.dispatch_latencies().is_empty());
     }
 
     #[test]

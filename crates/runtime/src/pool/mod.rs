@@ -554,43 +554,6 @@ impl ThreadPool {
         });
     }
 
-    /// Runs `body` on the calling thread and, concurrently, on up to
-    /// `helpers` pool workers; returns when every copy has finished — the
-    /// pool-side hook of the work-assisted freeze.
-    ///
-    /// Every copy of `body` is the *same* closure: a pull loop claiming
-    /// work-unit ranges from a shared atomic chunk index until it drains.
-    /// The coordinator always participates, so a saturated pool degrades
-    /// gracefully — helpers that never get scheduled just find the index
-    /// empty, they are not needed for progress.
-    ///
-    /// ```
-    /// use futurerd_runtime::ThreadPoolBuilder;
-    /// use std::sync::atomic::{AtomicUsize, Ordering};
-    ///
-    /// let pool = ThreadPoolBuilder::new().num_threads(2).build();
-    /// let next = AtomicUsize::new(0);
-    /// let done = AtomicUsize::new(0);
-    /// pool.run_assist(2, &|| {
-    ///     while next.fetch_add(1, Ordering::Relaxed) < 100 {
-    ///         done.fetch_add(1, Ordering::Relaxed);
-    ///     }
-    /// });
-    /// assert_eq!(done.load(Ordering::Relaxed), 100);
-    /// ```
-    pub fn run_assist(&self, helpers: usize, body: &(dyn Fn() + Sync)) {
-        if helpers == 0 {
-            body();
-            return;
-        }
-        self.scope(|scope| {
-            for _ in 0..helpers {
-                scope.spawn(body);
-            }
-            body();
-        });
-    }
-
     /// Creates a scope in which borrowed tasks can be spawned; blocks until
     /// every task spawned in the scope has completed — also when `f`
     /// panics, whose panic then resumes once the tasks are done.
@@ -774,33 +737,6 @@ mod tests {
         }
         let pool = ThreadPool::new(4);
         assert_eq!(pool.install(|| fib(&pool, 20)), 6765);
-    }
-
-    #[test]
-    fn run_assist_drains_a_shared_counter_with_helpers() {
-        let pool = ThreadPool::new(4);
-        let next = AtomicUsize::new(0);
-        let claimed = Mutex::new(vec![0u32; 1000]);
-        pool.run_assist(3, &|| loop {
-            let unit = next.fetch_add(1, Ordering::Relaxed);
-            if unit >= 1000 {
-                break;
-            }
-            claimed.lock()[unit] += 1;
-        });
-        assert!(claimed.lock().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn run_assist_with_zero_helpers_runs_inline() {
-        let pool = ThreadPool::new(2);
-        let hits = AtomicUsize::new(0);
-        let caller = thread::current().id();
-        pool.run_assist(0, &|| {
-            assert_eq!(thread::current().id(), caller);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]
