@@ -112,9 +112,8 @@ fn usage() -> ! {
          Observing never reroutes: replay at P=1 runs the same single pass\n\
          with or without these flags, attributed as validate and detect.\n\
          profile replays <trace> at P=1 (the single pass) and P=N (N single\n\
-         passes; N from --threads, else FUTURERD_PAR_THREADS, else the\n\
-         machine's parallelism, and at most the core count), 5 runs each\n\
-         in alternation, and prints\n\
+         passes; N from --threads, else the machine's parallelism, and at\n\
+         most the core count), 5 runs each in alternation, and prints\n\
          each stage's median time with its min and max over the runs:\n\
          validate, detect (detect.partition per worker), merge vs wall\n\
          clock. --json emits one machine-readable JSON line per profiled\n\
@@ -683,7 +682,7 @@ fn cmd_replay(opts: &Options) -> ExitCode {
         let workers = oneshot_workers(opts.threads);
         let sharded = workers > 1 && algorithm.freezable();
         let config = futurerd::Config::new()
-            .algorithm(algorithm.into())
+            .algorithm(algorithm)
             .threads(opts.threads);
         let detection = match config.replay(&trace) {
             Ok(detection) => detection,
@@ -1183,16 +1182,12 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Default P: --threads wins, then FUTURERD_PAR_THREADS (the knob the
-    // test suites honor), then one pass per core; one-shot replay runs no
-    // more passes than cores either way.
+    // Default P: --threads wins, else one pass per core; one-shot replay
+    // runs no more passes than cores either way.
     let n = oneshot_workers(if opts.threads > 1 {
         opts.threads
     } else {
-        std::env::var("FUTURERD_PAR_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(usize::MAX)
+        usize::MAX
     });
     // Status goes to stderr in --json mode so stdout stays parseable.
     let status = |line: String| {

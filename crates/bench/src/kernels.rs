@@ -581,7 +581,7 @@ fn fig_store(cells: &mut Cells) {
                 let dir = std::env::temp_dir().join(name);
                 std::fs::remove_dir_all(&dir).ok();
                 let trace = big_trace(general, seed);
-                let config = futurerd::Config::new().algorithm(algorithm.into());
+                let config = futurerd::Config::new().algorithm(algorithm);
                 let mut store = Store::open(&dir).expect("store opens");
                 store.put_trace("t", &trace).expect("trace stores");
                 config.replay_stored(&mut store, "t").expect("cold detect");
@@ -664,7 +664,7 @@ fn fig_session(cells: &mut Cells) {
             ReplayAlgorithm::MultiBags => "multibags",
             _ => "multibags_plus",
         };
-        let config = futurerd::Config::new().algorithm(algorithm.into());
+        let config = futurerd::Config::new().algorithm(algorithm);
         let cell = Cell::new("fig_session", format!("fig_session/{name}"), move || {
             big_trace(general, seed)
         })

@@ -19,23 +19,29 @@ use crate::reachability::{GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsC
 use futurerd_dag::trace::{Trace, TraceError};
 use futurerd_dag::Observer;
 
-/// The reachability algorithms a trace can be replayed through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which reachability algorithm answers precedence queries — in a live run,
+/// a replay, a session or a stored replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplayAlgorithm {
-    /// MultiBags (Section 4) — sound for structured (single-touch) futures.
+    /// MultiBags (Section 4): structured — single-touch — futures, total
+    /// time `O(T1·α(m,n))`.
+    #[default]
     MultiBags,
-    /// MultiBags+ (Section 5) — sound for general futures.
+    /// MultiBags+ (Section 5): general futures (multi-touch, escaping),
+    /// total time `O((T1+k²)·α(m,n))`.
     MultiBagsPlus,
-    /// The SP-Bags baseline — sound for pure fork-join streams only.
+    /// The classical SP-Bags baseline: fork-join (`spawn`/`sync`) programs
+    /// only. Programs that use futures may produce false positives.
     SpBags,
     /// SP-Bags with the conservative futures fallback: `create_fut` is
-    /// treated as `spawn` and `get_fut` as `sync`, so it runs on any stream
-    /// but its verdict on futures traces is approximate (the report is
-    /// [marked](RaceReport::is_approximate)). Lets [`differential`] quantify
-    /// the fork-join baseline's error on futures programs.
+    /// treated as `spawn` and `get_fut` as `sync`, so it consumes any
+    /// program — but on futures its verdict is approximate (reports from
+    /// futures traces are [marked](RaceReport::is_approximate)). Quantifies
+    /// the fork-join baseline's error, motivating the MultiBags algorithms;
+    /// [`differential`] uses it to measure that error on futures programs.
     SpBagsConservative,
-    /// The ground-truth transitive-closure oracle — sound for everything,
-    /// quadratic space.
+    /// The ground-truth graph oracle (explicit transitive closure): exact on
+    /// every program, but quadratic space — for tests and ablations.
     GraphOracle,
 }
 

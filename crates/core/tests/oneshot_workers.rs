@@ -7,9 +7,6 @@
 //! workers inside one event, with races on granules that different workers
 //! own, and the size of the workers' shadow tables on a dense array. They
 //! run exactly the worker counts they name, past the core count too.
-//!
-//! `FUTURERD_PAR_THREADS=<n>` restricts the report comparison to a single
-//! worker count.
 
 use futurerd_core::parallel::{par_replay_detect_with, par_replay_with, StdExecutor};
 use futurerd_core::replay::{replay_detect, ReplayAlgorithm};
@@ -18,14 +15,8 @@ use futurerd_dag::events::{ForkInfo, SpawnEvent, SyncEvent};
 use futurerd_dag::trace::{Trace, TraceEvent};
 use futurerd_dag::{FunctionId, MemAddr, StrandId};
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("FUTURERD_PAR_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("FUTURERD_PAR_THREADS must be a thread count")],
-        Err(_) => vec![2, 3, 5, 8],
-    }
-}
+/// The worker counts the report comparison runs at.
+const THREAD_COUNTS: [usize; 4] = [2, 3, 5, 8];
 
 fn read(strand: u32, addr: u64, size: u32) -> TraceEvent {
     TraceEvent::Read {
@@ -180,7 +171,7 @@ fn wide_accesses_report_as_the_single_pass_at_every_worker_count() {
         );
         assert_eq!(sequential.race_count(), 196, "{algorithm}");
         assert_eq!(sequential.total_observations(), 197, "{algorithm}");
-        for threads in thread_counts() {
+        for threads in THREAD_COUNTS {
             let parallel = par_replay_detect_with(&trace, algorithm, threads, &StdExecutor)
                 .expect("canonical");
             assert_eq!(

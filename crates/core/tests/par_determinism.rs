@@ -11,9 +11,6 @@
 //! plus randomized generator shapes. Reports are compared with `==`
 //! (witness order, racy-granule set, observation totals) *and* by their
 //! rendered form.
-//!
-//! `FUTURERD_PAR_THREADS=<n>` restricts the run to a single thread count —
-//! CI uses this to exercise 2 and 8 workers in separate steps.
 
 use futurerd_core::parallel::{par_replay_detect, par_replay_detect_with, StdExecutor};
 use futurerd_core::replay::{replay_detect, ReplayAlgorithm};
@@ -25,19 +22,13 @@ use rand::{Rng, SeedableRng};
 
 const SEEDS: u64 = 40;
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("FUTURERD_PAR_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("FUTURERD_PAR_THREADS must be a thread count")],
-        Err(_) => vec![1, 2, 3, 8],
-    }
-}
+/// The worker counts every trace is checked at.
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 fn assert_deterministic(trace: &Trace, context: &std::fmt::Arguments<'_>) {
     for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
         let sequential = replay_detect(trace, algorithm).expect("recorded traces are canonical");
-        for threads in thread_counts() {
+        for threads in THREAD_COUNTS {
             let parallel = par_replay_detect_with(trace, algorithm, threads, &StdExecutor)
                 .expect("same trace, same validation");
             assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! The race-detection algorithms never materialize this graph (that is the
 //! point of the paper), but the explicit representation is the ground truth
-//! for differential tests, statistics and visualization.
+//! for differential tests and statistics.
 
 use crate::ids::{FunctionId, StrandId};
 use serde::{Deserialize, Serialize};

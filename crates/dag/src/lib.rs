@@ -9,7 +9,7 @@
 //!   The race detectors in `futurerd-core` consume this stream; the executor
 //!   in `futurerd-runtime` produces it.
 //! * [`graph`] — an explicit computation dag (strands + typed edges), as used
-//!   for testing, statistics and visualization. The detectors never need the
+//!   for testing and statistics. The detectors never need the
 //!   explicit dag; it exists so that correctness can be checked against a
 //!   ground-truth [`reachability`] oracle.
 //! * [`reachability`] — ground-truth reachability over an explicit dag
@@ -18,7 +18,6 @@
 //! * [`record`] — an [`Observer`] that records the event
 //!   stream into an explicit [`Dag`].
 //! * [`stats`] — work/span and per-construct statistics of a dag.
-//! * [`dot`] — Graphviz export.
 //! * [`genprog`] — a random-program generator (structured and general
 //!   futures) used for property-based differential testing of the detectors.
 //! * [`trace`] — a persistent, serializable form of the event stream
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dot;
 pub mod events;
 pub mod genprog;
 pub mod graph;

@@ -149,6 +149,7 @@ pub use futurerd_core::detector::{InstrumentationOnly, RaceDetector, Reachabilit
 pub use futurerd_core::parallel;
 pub use futurerd_core::parallel::{par_replay_detect, DetectExecutor, ReachIndex};
 pub use futurerd_core::replay;
+pub use futurerd_core::replay::ReplayAlgorithm as Algorithm;
 pub use futurerd_core::stats::{DetectorStats, ReachStats};
 pub use futurerd_core::{AccessKind, Race, RaceReport};
 pub use futurerd_dag::source::{ChunkedEvents, EventSource};
@@ -165,7 +166,6 @@ use futurerd_core::parallel::{oneshot_workers, par_replay_with};
 use futurerd_core::reachability::{
     GraphOracle, MultiBags, MultiBagsPlus, SpBags, SpBagsConservative,
 };
-use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
 use futurerd_dag::trace::fnv1a64;
 use futurerd_runtime::run_program;
@@ -180,42 +180,6 @@ use futurerd_store::{BatchRecord, BatchSummary};
 /// [`get_future`](Cx::get_future), [`touch_future`](Cx::touch_future) — and
 /// every instrumented memory wrapper works unchanged.
 pub type Cx = futurerd_runtime::Cx<AnyObserver>;
-
-/// Which reachability algorithm answers precedence queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// MultiBags (Section 4): structured — single-touch — futures, total
-    /// time `O(T1·α(m,n))`.
-    #[default]
-    MultiBags,
-    /// MultiBags+ (Section 5): general futures (multi-touch, escaping),
-    /// total time `O((T1+k²)·α(m,n))`.
-    MultiBagsPlus,
-    /// The classical SP-Bags baseline: fork-join (`spawn`/`sync`) programs
-    /// only. Programs that use futures may produce false positives.
-    SpBags,
-    /// SP-Bags with the conservative futures fallback: `create_fut` is
-    /// treated as `spawn` and `get_fut` as `sync`, so it consumes any
-    /// program — but on futures its verdict is approximate (reports from
-    /// futures traces are [marked](RaceReport::is_approximate)). Quantifies
-    /// the fork-join baseline's error, motivating the MultiBags algorithms.
-    SpBagsConservative,
-    /// The ground-truth graph oracle (explicit transitive closure): exact on
-    /// every program, but quadratic space — for tests and ablations.
-    GraphOracle,
-}
-
-impl From<ReplayAlgorithm> for Algorithm {
-    fn from(algorithm: ReplayAlgorithm) -> Self {
-        match algorithm {
-            ReplayAlgorithm::MultiBags => Algorithm::MultiBags,
-            ReplayAlgorithm::MultiBagsPlus => Algorithm::MultiBagsPlus,
-            ReplayAlgorithm::SpBags => Algorithm::SpBags,
-            ReplayAlgorithm::SpBagsConservative => Algorithm::SpBagsConservative,
-            ReplayAlgorithm::GraphOracle => Algorithm::GraphOracle,
-        }
-    }
-}
 
 /// How much of the detection pipeline runs — the four measurement
 /// configurations of the paper's Section 6.
@@ -306,8 +270,7 @@ impl Config {
     ///
     /// Workers come from the **process-shared** pool of this size
     /// ([`ThreadPool::shared`]), so repeated replays and batch jobs pay the
-    /// worker spawn cost once; use [`Config::replay_on`] (or
-    /// [`Session::on_pool`]) to supply a pool explicitly.
+    /// worker spawn cost once.
     ///
     /// Threaded paths report the summed per-worker `detector_stats` but no
     /// `reach_stats` (one-shot workers each replicate the reachability
@@ -471,43 +434,6 @@ impl Config {
     /// assert_eq!(detection.summary.gets, recorded.summary.gets);
     /// ```
     pub fn replay(self, trace: &Trace) -> Result<Detection<()>, Error> {
-        self.replay_with(trace, None)
-    }
-
-    /// As [`Config::replay`], but parallel detection workers run on the
-    /// given pool instead of the facade's process-shared one — for callers
-    /// that manage pool lifetime themselves. The worker count still comes
-    /// from [`Config::threads`], capped at the core count; at one worker
-    /// the single pass runs on the calling thread and the pool is not used.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use futurerd::{Config, ThreadPool};
-    ///
-    /// let recorded = futurerd::record(|cx| {
-    ///     let mut cell = futurerd::ShadowCell::new(cx, 0u32);
-    ///     cx.spawn(|cx| cell.set(cx, 1));
-    ///     let racy = cell.get(cx);
-    ///     cx.sync();
-    ///     racy
-    /// });
-    /// let pool = ThreadPool::new(2);
-    /// let d = Config::structured()
-    ///     .threads(2)
-    ///     .replay_on(&recorded.trace, &pool)
-    ///     .unwrap();
-    /// assert_eq!(d.race_count(), 1);
-    /// ```
-    pub fn replay_on(self, trace: &Trace, pool: &ThreadPool) -> Result<Detection<()>, Error> {
-        self.replay_with(trace, Some(pool))
-    }
-
-    /// The one-shot replay behind [`Config::replay`] and
-    /// [`Config::replay_on`]: the single pass at one thread or when there
-    /// is nothing to shard, one single pass per thread on `pool` (or the
-    /// shared pool) otherwise.
-    fn replay_with(self, trace: &Trace, pool: Option<&ThreadPool>) -> Result<Detection<()>, Error> {
         let workers = oneshot_workers(self.threads);
         if workers == 1 || self.analysis != Analysis::Full {
             let counts = {
@@ -516,16 +442,9 @@ impl Config {
             };
             return sequential_detection(self, trace, summary_from_counts(&counts));
         }
-        let shared;
-        let pool = match pool {
-            Some(pool) => pool,
-            None => {
-                shared = ThreadPool::shared(self.threads);
-                &shared
-            }
-        };
-        let algorithm = session::replay_algorithm(self.algorithm);
-        let (counts, detected) = par_replay_with(trace, algorithm, workers, &PoolExecutor(pool))?;
+        let pool = ThreadPool::shared(self.threads);
+        let (counts, detected) =
+            par_replay_with(trace, self.algorithm, workers, &PoolExecutor(&pool))?;
         let summary = summary_from_counts(&counts);
         let Some((report, detector_stats)) = detected else {
             // Not a paper algorithm: the single pass.
@@ -639,7 +558,7 @@ pub fn run_batch(store: &mut Store, mut jobs: Vec<BatchJob>) -> Result<BatchMani
 /// trace.
 fn batch_job(store: &mut Store, job: &BatchJob) -> Result<BatchSummary, Error> {
     let mut session = Config::new()
-        .algorithm(job.algorithm.into())
+        .algorithm(job.algorithm)
         .threads(job.threads)
         .open_session(store, &job.trace)?;
     let detection = session.report()?;

@@ -3,13 +3,10 @@
 //! root) carries the full routing-model documentation.
 
 use crate::error::Error;
-use crate::{
-    sequential_detection, summary_from_counts, Algorithm, Analysis, Config, Detection, PoolExecutor,
-};
+use crate::{sequential_detection, summary_from_counts, Analysis, Config, Detection, PoolExecutor};
 use futurerd_core::parallel::{
     merge_outcomes_stats, Advance, DetectExecutor, IncrementalFreezer, PartitionSet, StdExecutor,
 };
-use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::source::EventSource;
 use futurerd_dag::trace::{PrefixValidator, Trace, TraceEvent};
 use futurerd_runtime::ThreadPool;
@@ -73,8 +70,6 @@ pub struct Session<'s> {
     engine: Option<EngineState>,
     /// Store binding of a persistent session (plus its entry name).
     store: Option<(&'s mut Store, String)>,
-    /// Optional caller-managed worker pool for parallel detection.
-    pool: Option<&'s ThreadPool>,
     /// Events ingested since the session state was last persisted.
     dirty: bool,
     last_path: Option<DetectionPath>,
@@ -127,7 +122,7 @@ impl Config {
     /// ```
     pub fn session(self) -> Session<'static> {
         let engine = (self.analysis == Analysis::Full)
-            .then(|| IncrementalFreezer::new(replay_algorithm(self.algorithm)))
+            .then(|| IncrementalFreezer::new(self.algorithm))
             .flatten()
             .map(|freezer| EngineState {
                 freezer,
@@ -141,7 +136,6 @@ impl Config {
             trace: Trace::new(),
             engine,
             store: None,
-            pool: None,
             dirty: false,
             last_path: None,
             ingest_ns: 0,
@@ -171,12 +165,11 @@ impl Config {
                  use Config::replay (or an ephemeral session) for partial analyses",
             ));
         }
-        let algorithm = replay_algorithm(self.algorithm);
-        let state = store.open_session_state(name, algorithm)?;
+        let state = store.open_session_state(name, self.algorithm)?;
         let warm = state.freezer.is_some();
         let mut freezer = match state.freezer {
             Some(freezer) => freezer,
-            None => IncrementalFreezer::new(algorithm).expect("open_session_state checked"),
+            None => IncrementalFreezer::new(self.algorithm).expect("open_session_state checked"),
         };
         let frozen_pos = freezer.position() as usize;
         // Stored outcomes carry no shadow state: they enter as cached
@@ -200,7 +193,6 @@ impl Config {
                 warm,
             }),
             store: Some((store, name.to_string())),
-            pool: None,
             dirty: false,
             last_path: None,
             ingest_ns: 0,
@@ -209,13 +201,6 @@ impl Config {
 }
 
 impl<'s> Session<'s> {
-    /// Runs this session's parallel detection workers on `pool` instead of
-    /// the process-shared pool of [`Config::threads`]'s size.
-    pub fn on_pool(mut self, pool: &'s ThreadPool) -> Session<'s> {
-        self.pool = Some(pool);
-        self
-    }
-
     /// The configuration this session detects under.
     pub fn config(&self) -> Config {
         self.config
@@ -350,11 +335,10 @@ impl<'s> Session<'s> {
     ) -> (EngineState, Result<Detection<()>, Error>) {
         let started = futurerd_obs::recording().then(std::time::Instant::now);
         let threads = self.config.threads;
-        let shared_pool = (self.pool.is_none() && threads > 1).then(|| ThreadPool::shared(threads));
-        let executor = match (self.pool, &shared_pool) {
-            (Some(pool), _) => AnyExec::Pool(PoolExecutor(pool)),
-            (None, Some(pool)) => AnyExec::Pool(PoolExecutor(pool)),
-            (None, None) => AnyExec::Std(StdExecutor),
+        let shared_pool = (threads > 1).then(|| ThreadPool::shared(threads));
+        let executor = match &shared_pool {
+            Some(pool) => AnyExec::Pool(PoolExecutor(pool)),
+            None => AnyExec::Std(StdExecutor),
         };
 
         let appended_events = self.validator.position() - engine.detected_pos;
@@ -464,19 +448,8 @@ impl<'s> Session<'s> {
     }
 }
 
-/// Maps the facade's algorithm enum onto the replay layer's.
-pub(crate) fn replay_algorithm(algorithm: Algorithm) -> ReplayAlgorithm {
-    match algorithm {
-        Algorithm::MultiBags => ReplayAlgorithm::MultiBags,
-        Algorithm::MultiBagsPlus => ReplayAlgorithm::MultiBagsPlus,
-        Algorithm::SpBags => ReplayAlgorithm::SpBags,
-        Algorithm::SpBagsConservative => ReplayAlgorithm::SpBagsConservative,
-        Algorithm::GraphOracle => ReplayAlgorithm::GraphOracle,
-    }
-}
-
-/// The session's runtime executor choice: the caller's (or shared) pool
-/// when detection is parallel, scoped threads otherwise.
+/// The session's runtime executor choice: the shared pool when detection
+/// is parallel, scoped threads otherwise.
 enum AnyExec<'p> {
     Pool(PoolExecutor<'p>),
     Std(StdExecutor),
@@ -494,7 +467,7 @@ impl DetectExecutor for AnyExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{record, Cx, ShadowCell};
+    use crate::{record, Algorithm, Cx, ShadowCell};
     use futurerd_dag::source::ChunkedEvents;
     use futurerd_dag::{FunctionId, MemAddr, StrandId};
 
@@ -806,9 +779,7 @@ mod tests {
         assert!(d.report.is_none());
         assert!(d.reach_stats.unwrap().dsu_ops() > 0);
         // And no sidecar was written for it.
-        assert!(!store
-            .sidecar_path("t", ReplayAlgorithm::MultiBagsPlus)
-            .exists());
+        assert!(!store.sidecar_path("t", Algorithm::MultiBagsPlus).exists());
         std::fs::remove_dir_all(store.root()).ok();
     }
 }

@@ -596,7 +596,7 @@ fn oneshot_report(
     threads: usize,
 ) -> Result<RaceReport, futurerd::Error> {
     let detection = Config::new()
-        .algorithm(algorithm.into())
+        .algorithm(algorithm)
         .threads(threads)
         .replay(trace)?;
     Ok(detection
@@ -622,7 +622,7 @@ fn session_report(
 ) -> Result<SessionChain, futurerd::Error> {
     let events = trace.events();
     let mut session = Config::new()
-        .algorithm(algorithm.into())
+        .algorithm(algorithm)
         .threads(threads)
         .session();
     let report = |session: &mut futurerd::Session<'_>| -> Result<RaceReport, futurerd::Error> {
@@ -662,7 +662,7 @@ fn store_roundtrip(
     rng: &mut StdRng,
 ) -> Result<Vec<(String, RaceReport)>, futurerd::Error> {
     let sequential = replay_detect_unchecked(trace, algorithm);
-    let config = Config::new().algorithm(algorithm.into()).threads(2);
+    let config = Config::new().algorithm(algorithm).threads(2);
     let events = trace.events();
     let split = rng.gen_range(1..events.len());
     let mut prefix = Trace::new();

@@ -100,7 +100,7 @@ fn every_fixture_matches_sequential_through_sessions_and_the_store() {
             for threads in [1, 2] {
                 let tag = format!("{name} {algorithm} P={threads}");
                 let mut session = Config::new()
-                    .algorithm(algorithm.into())
+                    .algorithm(algorithm)
                     .threads(threads)
                     .session();
                 for (at, event) in events.iter().enumerate() {
@@ -120,7 +120,7 @@ fn every_fixture_matches_sequential_through_sessions_and_the_store() {
             }
             // The store, through stored sessions: cold, warm, and
             // incremental after an append.
-            let stored = Config::new().algorithm(algorithm.into()).threads(2);
+            let stored = Config::new().algorithm(algorithm).threads(2);
             let entry = format!("{name}-{}", algorithm.name().replace('+', "p"));
             let cut = events.len() / 2;
             let mut prefix = Trace::new();

@@ -133,12 +133,6 @@ pub fn set_timeline_enabled(on: bool) {
     set_flag(FLAG_TIMELINE, on);
 }
 
-/// Whether the interval timeline journal is currently enabled.
-#[inline]
-pub fn timeline_enabled() -> bool {
-    flags() & FLAG_TIMELINE != 0
-}
-
 /// Whether anything (aggregates or timeline) is recording — the single
 /// relaxed load every [`Span::enter`] pays while fully disabled.
 #[inline]
@@ -310,21 +304,6 @@ fn record_closed(name: &'static str, start: Instant) {
     }
 }
 
-/// Records a pre-measured duration under `name`, exactly as if a [`Span`]
-/// had timed it — for call sites where the stage name is only known after
-/// the fact (e.g. a session report labels its timing with the
-/// `DetectionPath` the routing chose). No-op while recording is disabled.
-///
-/// Aggregate-only: a bare duration has no position on the timeline. Call
-/// sites that hold the begin instant should use [`record_stage`] instead,
-/// which also journals the interval.
-pub fn record_duration_ns(name: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    record_span(name, ns);
-}
-
 /// Closes a measurement started at `start` under a stage name chosen
 /// after the fact: records the aggregate timing *and* journals the
 /// timeline interval, exactly as if a [`Span`] named `name` had been
@@ -340,17 +319,6 @@ pub fn set_thread_label(label: &str) {
     with_local_buffer(|buf| {
         *buf.label.lock().unwrap() = Some(label.to_string());
     });
-}
-
-/// The calling thread's label (set via [`set_thread_label`]), or
-/// `"main"` if none was set.
-pub fn thread_label() -> String {
-    LOCAL.with(|slot| {
-        slot.borrow()
-            .as_ref()
-            .and_then(|buf| buf.label.lock().unwrap().clone())
-            .unwrap_or_else(|| "main".to_string())
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -710,13 +678,26 @@ mod tests {
 
     #[test]
     fn thread_label_defaults_to_main() {
-        assert_eq!(thread_label(), "main");
+        let _x = exclusive();
+        set_timeline_enabled(true);
+        {
+            let _span = Span::enter("label.unset");
+        }
         std::thread::spawn(|| {
             set_thread_label("worker.9");
-            assert_eq!(thread_label(), "worker.9");
+            let _span = Span::enter("label.set");
         })
         .join()
         .unwrap();
+        set_timeline_enabled(false);
+        let journal = timeline();
+        let thread_of = |stage: &str| {
+            let interval = journal.intervals.iter().find(|i| i.stage == stage);
+            interval.expect("span journaled").thread.clone()
+        };
+        assert_eq!(thread_of("label.unset"), "main");
+        assert_eq!(thread_of("label.set"), "worker.9");
+        reset();
     }
 
     #[test]

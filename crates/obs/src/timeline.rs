@@ -20,7 +20,7 @@
 //!   two views are recorded from the same measurements and must agree
 //!   **exactly**, nanosecond for nanosecond.
 
-use crate::{MetricRow, Snapshot, StageRow};
+use crate::{Snapshot, StageRow};
 
 /// The disjoint top-level coordinator stages whose durations sum to ≈ the
 /// pipeline wall clock; every other stage nests inside one of them.
@@ -289,15 +289,6 @@ impl Timeline {
                 }
             })
             .collect()
-    }
-
-    /// The `obs.timeline.dropped` row this journal would surface, if any.
-    pub fn dropped_metric(&self) -> Option<MetricRow> {
-        (self.dropped > 0).then(|| MetricRow {
-            name: "obs.timeline.dropped".to_string(),
-            kind: crate::MetricKind::Gauge,
-            value: self.dropped,
-        })
     }
 }
 

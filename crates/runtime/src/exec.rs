@@ -18,10 +18,8 @@ use futurerd_dag::events::{CreateFutureEvent, ForkInfo, GetFutureEvent, SpawnEve
 use futurerd_dag::{FunctionId, MemAddr, Observer, StrandId};
 
 /// First abstract address handed out by [`Cx::alloc_region`]; non-zero so
-/// that address `0` never appears in detector state. The parallel trace
-/// capture in [`crate::trace`] replicates this allocation discipline so
-/// pool-captured traces match the sequential executor's byte for byte.
-pub(crate) const BASE_ADDR: u64 = 0x1000;
+/// that address `0` never appears in detector state.
+const BASE_ADDR: u64 = 0x1000;
 
 /// A handle to an eagerly-evaluated future.
 ///

@@ -23,9 +23,8 @@
 //! reported to the observer — [`spec`], an interpreter for the random
 //! programs generated by `futurerd_dag::genprog` (used heavily by the
 //! property-based differential tests), and [`trace`], which captures
-//! persistent event traces from either execution vehicle: a [`TraceRecorder`]
-//! observer on the sequential executor, or per-worker buffered capture on the
-//! thread pool with a deterministic merge back into serial-DF order.
+//! persistent event traces through a [`TraceRecorder`] observer on the
+//! sequential executor.
 
 #![warn(missing_docs)]
 
@@ -38,6 +37,4 @@ pub mod trace;
 pub use exec::{run_program, Cx, ExecutionSummary};
 pub use memory::{ShadowArray, ShadowCell, ShadowMatrix};
 pub use pool::{FutureTask, ThreadPool, ThreadPoolBuilder, WorkerStats};
-pub use trace::{
-    capture_spec_parallel, record_program, record_spec, ParallelCapture, TraceRecorder,
-};
+pub use trace::{record_program, record_spec, TraceRecorder};

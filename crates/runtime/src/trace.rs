@@ -1,43 +1,19 @@
 //! Trace capture: turning executions into persistent [`Trace`]s.
 //!
-//! Two capture paths produce byte-identical traces:
-//!
-//! 1. **Sequential**: [`TraceRecorder`] is an [`Observer`] that appends every
-//!    callback of the depth-first eager executor to a [`Trace`] — recording
-//!    is just another observer, composable with a detector through
-//!    [`MultiObserver`](futurerd_dag::MultiObserver).
-//! 2. **Parallel**: [`capture_spec_parallel`] runs a generated
-//!    [`ProgramSpec`] on the work-stealing [`ThreadPool`], with *per-worker
-//!    buffered capture*: each worker thread appends structural records to its
-//!    own buffer as it executes (steals included), tagged with the record's
-//!    position in the task tree. A deterministic merge then rebuilds the
-//!    canonical serial-DF event stream — the same stream the sequential
-//!    executor would have emitted — regardless of how the scheduler
-//!    interleaved the work.
-//!
-//! The parallel path leans on a property of this execution model: the event
-//! *structure* of a program is data-independent (which locations a strand
-//! touches does not depend on the values read), so a trace captured from any
-//! interleaving can be renumbered into the canonical serial-DF order. Each
-//! record carries its tree position `(path, seq)` — `path` is the sequence
-//! of parent action indices that forked the task, `seq` the record's index
-//! within the task — and the merge is a depth-first walk of that tree
-//! replaying the executor's id-allocation discipline.
+//! [`TraceRecorder`] is an [`Observer`] that appends every callback of the
+//! depth-first eager executor to a [`Trace`] — recording is just another
+//! observer, composable with a detector through
+//! [`MultiObserver`](futurerd_dag::MultiObserver). The paper's detector runs
+//! on one serial depth-first execution, so this is the one capture path:
+//! [`record_program`] records a closure, [`record_spec`] a generated program.
 
-use crate::exec::{run_program, Cx, ExecutionSummary, BASE_ADDR};
-use crate::pool::ThreadPool;
+use crate::exec::{run_program, Cx, ExecutionSummary};
 use crate::spec::run_spec;
-use futurerd_dag::events::ForkInfo;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
-use futurerd_dag::genprog::{Action, ProgramSpec};
+use futurerd_dag::genprog::ProgramSpec;
 use futurerd_dag::ids::{FunctionId, MemAddr, StrandId};
 use futurerd_dag::trace::{Trace, TraceEvent};
 use futurerd_dag::Observer;
-use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An [`Observer`] that records every event into a [`Trace`].
 ///
@@ -157,406 +133,6 @@ pub fn record_spec(spec: &ProgramSpec) -> (Trace, ExecutionSummary) {
     (recorder.into_trace(), summary)
 }
 
-/// The result of capturing a program's trace from the work-stealing pool.
-#[derive(Debug)]
-pub struct ParallelCapture {
-    /// The merged trace, in canonical serial-DF order.
-    pub trace: Trace,
-    /// Number of worker threads whose buffers received at least one record.
-    pub workers: usize,
-    /// Total structural records captured before the merge.
-    pub records: usize,
-}
-
-// ---------------------------------------------------------------------------
-// Per-worker buffered capture
-// ---------------------------------------------------------------------------
-
-/// One structural record: what a task did at one step, minus the ids (those
-/// are assigned by the deterministic merge).
-#[derive(Debug, Clone)]
-enum Rec {
-    /// Instrumented reads then writes of abstract locations.
-    Compute { reads: Vec<u32>, writes: Vec<u32> },
-    /// A child task was spawned; its records live at `path + [seq]`.
-    Spawn,
-    /// A future task was created; its records live at `path + [seq]`.
-    CreateFuture(u32),
-    /// Join all spawned children so far.
-    Sync,
-    /// Consume (touch) a future.
-    Get(u32),
-}
-
-#[derive(Debug)]
-struct Entry {
-    /// Action indices of the forks leading to this record's task.
-    path: Vec<u32>,
-    /// Index of this record within its task.
-    seq: u32,
-    rec: Rec,
-}
-
-static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
-
-/// A worker's shared append buffer.
-type SharedBuffer = Arc<Mutex<Vec<Entry>>>;
-
-thread_local! {
-    /// The calling thread's buffer for the capture session it last touched.
-    /// Keyed by session id so a stale buffer from a finished session is
-    /// never appended to.
-    static WORKER_BUFFER: RefCell<Option<(u64, SharedBuffer)>> = const { RefCell::new(None) };
-}
-
-/// A capture session: the registry of per-worker buffers.
-struct Session {
-    id: u64,
-    buffers: Mutex<Vec<SharedBuffer>>,
-}
-
-impl Session {
-    fn new() -> Self {
-        Self {
-            id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
-            buffers: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Appends a record to the calling worker's buffer, registering a fresh
-    /// buffer for this session on the worker's first record.
-    fn record(&self, entry: Entry) {
-        WORKER_BUFFER.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let stale = !matches!(&*slot, Some((id, _)) if *id == self.id);
-            if stale {
-                let buffer = Arc::new(Mutex::new(Vec::new()));
-                self.buffers.lock().push(Arc::clone(&buffer));
-                *slot = Some((self.id, buffer));
-            }
-            let (_, buffer) = slot.as_ref().expect("just installed");
-            buffer.lock().push(entry);
-        });
-    }
-
-    /// Drains every worker's buffer into one vector.
-    fn collect(self) -> (Vec<Entry>, usize) {
-        let buffers = self.buffers.into_inner();
-        let workers = buffers.len();
-        let mut entries = Vec::new();
-        for buffer in &buffers {
-            entries.append(&mut buffer.lock());
-        }
-        (entries, workers)
-    }
-}
-
-/// Executes `spec` on the work-stealing pool, capturing structural records
-/// into per-worker buffers, and merges them back into the canonical
-/// serial-DF trace.
-///
-/// The returned trace is byte-identical to what [`record_spec`] produces on
-/// the sequential executor for the same spec — that equivalence is the
-/// correctness statement of the merge, and is asserted by this module's
-/// tests across seeded random programs.
-pub fn capture_spec_parallel(pool: &ThreadPool, spec: &ProgramSpec) -> ParallelCapture {
-    let session = Session::new();
-    let memory: Vec<AtomicU32> = (0..spec.num_locations.max(1))
-        .map(|_| AtomicU32::new(0))
-        .collect();
-    pool.install(|| run_actions(pool, &session, &memory, &spec.root.actions, Vec::new(), 0));
-    let (entries, workers) = session.collect();
-    let records = entries.len();
-    let trace = assemble(entries);
-    ParallelCapture {
-        trace,
-        workers,
-        records,
-    }
-}
-
-/// Interprets a suffix of a task's action list on the pool. At each fork the
-/// child and the remainder of this task run as a `join` pair, so idle
-/// workers steal whichever side they reach first — the capture must work
-/// under every interleaving.
-fn run_actions(
-    pool: &ThreadPool,
-    session: &Session,
-    memory: &[AtomicU32],
-    actions: &[Action],
-    path: Vec<u32>,
-    start_seq: u32,
-) {
-    for ((idx, action), seq) in actions.iter().enumerate().zip(start_seq..) {
-        match action {
-            Action::Compute { reads, writes } => {
-                let mut acc = 0u32;
-                for loc in reads {
-                    acc = acc.wrapping_add(memory[loc.0 as usize].load(Ordering::Relaxed));
-                }
-                for loc in writes {
-                    memory[loc.0 as usize].store(acc.wrapping_add(loc.0), Ordering::Relaxed);
-                }
-                session.record(Entry {
-                    path: path.clone(),
-                    seq,
-                    rec: Rec::Compute {
-                        reads: reads.iter().map(|l| l.0).collect(),
-                        writes: writes.iter().map(|l| l.0).collect(),
-                    },
-                });
-            }
-            Action::Sync => session.record(Entry {
-                path: path.clone(),
-                seq,
-                rec: Rec::Sync,
-            }),
-            Action::GetFuture(id) => session.record(Entry {
-                path: path.clone(),
-                seq,
-                rec: Rec::Get(id.0),
-            }),
-            Action::Spawn(child) | Action::CreateFuture(_, child) => {
-                let rec = match action {
-                    Action::Spawn(_) => Rec::Spawn,
-                    Action::CreateFuture(id, _) => Rec::CreateFuture(id.0),
-                    _ => unreachable!(),
-                };
-                session.record(Entry {
-                    path: path.clone(),
-                    seq,
-                    rec,
-                });
-                let mut child_path = path.clone();
-                child_path.push(seq);
-                let rest = &actions[idx + 1..];
-                let cont_seq = seq + 1;
-                let cont_path = path;
-                pool.join(
-                    || run_actions(pool, session, memory, &child.actions, child_path, 0),
-                    || run_actions(pool, session, memory, rest, cont_path, cont_seq),
-                );
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic merge back into serial-DF order
-// ---------------------------------------------------------------------------
-
-struct FutureInfo {
-    function: FunctionId,
-    last: StrandId,
-    touches: u32,
-}
-
-struct Merger<'a> {
-    tasks: &'a HashMap<Vec<u32>, Vec<(u32, Rec)>>,
-    trace: Trace,
-    next_strand: u32,
-    next_function: u32,
-    futures: HashMap<u32, FutureInfo>,
-}
-
-impl Merger<'_> {
-    fn new_strand(&mut self) -> StrandId {
-        let id = StrandId(self.next_strand);
-        self.next_strand += 1;
-        id
-    }
-
-    fn new_function(&mut self) -> FunctionId {
-        let id = FunctionId(self.next_function);
-        self.next_function += 1;
-        id
-    }
-
-    /// Emits one task's events in canonical order, replaying the sequential
-    /// executor's id-allocation and implicit-sync discipline; returns the
-    /// task's last strand.
-    fn emit_task(
-        &mut self,
-        path: &mut Vec<u32>,
-        function: FunctionId,
-        first: StrandId,
-    ) -> StrandId {
-        self.trace.push(TraceEvent::StrandStart {
-            strand: first,
-            function,
-        });
-        let mut current = first;
-        let mut pending: Vec<(FunctionId, ForkInfo, StrandId)> = Vec::new();
-        // Copy the map reference out of `self` so iterating the steps does
-        // not hold a borrow of `self` across the mutations below.
-        let tasks = self.tasks;
-        let steps: &[(u32, Rec)] = tasks.get(path.as_slice()).map(Vec::as_slice).unwrap_or(&[]);
-        for &(seq, ref rec) in steps {
-            match *rec {
-                Rec::Compute {
-                    ref reads,
-                    ref writes,
-                } => {
-                    for &loc in reads {
-                        self.trace.push(TraceEvent::Read {
-                            strand: current,
-                            addr: MemAddr(BASE_ADDR + u64::from(loc) * MemAddr::GRANULARITY),
-                            size: MemAddr::GRANULARITY as u32,
-                        });
-                    }
-                    for &loc in writes {
-                        self.trace.push(TraceEvent::Write {
-                            strand: current,
-                            addr: MemAddr(BASE_ADDR + u64::from(loc) * MemAddr::GRANULARITY),
-                            size: MemAddr::GRANULARITY as u32,
-                        });
-                    }
-                }
-                Rec::Spawn => {
-                    let child = self.new_function();
-                    let child_first = self.new_strand();
-                    let cont = self.new_strand();
-                    self.trace.push(TraceEvent::Spawn(SpawnEvent {
-                        parent: function,
-                        child,
-                        fork_strand: current,
-                        cont_strand: cont,
-                        child_first_strand: child_first,
-                    }));
-                    let fork = ForkInfo {
-                        pre_fork_strand: current,
-                        child_first_strand: child_first,
-                        cont_strand: cont,
-                    };
-                    path.push(seq);
-                    let child_last = self.emit_task(path, child, child_first);
-                    path.pop();
-                    pending.push((child, fork, child_last));
-                    current = cont;
-                    self.trace.push(TraceEvent::StrandStart {
-                        strand: cont,
-                        function,
-                    });
-                }
-                Rec::CreateFuture(fut) => {
-                    let child = self.new_function();
-                    let child_first = self.new_strand();
-                    let cont = self.new_strand();
-                    self.trace.push(TraceEvent::CreateFuture(CreateFutureEvent {
-                        parent: function,
-                        child,
-                        creator_strand: current,
-                        cont_strand: cont,
-                        child_first_strand: child_first,
-                    }));
-                    path.push(seq);
-                    let child_last = self.emit_task(path, child, child_first);
-                    path.pop();
-                    self.futures.insert(
-                        fut,
-                        FutureInfo {
-                            function: child,
-                            last: child_last,
-                            touches: 0,
-                        },
-                    );
-                    current = cont;
-                    self.trace.push(TraceEvent::StrandStart {
-                        strand: cont,
-                        function,
-                    });
-                }
-                Rec::Sync => {
-                    current = self.drain_pending(function, current, &mut pending);
-                }
-                Rec::Get(fut) => {
-                    let getter = self.new_strand();
-                    let info = self
-                        .futures
-                        .get_mut(&fut)
-                        .expect("generator guarantees creation precedes every get in DF order");
-                    self.trace.push(TraceEvent::GetFuture(GetFutureEvent {
-                        parent: function,
-                        future: info.function,
-                        pre_get_strand: current,
-                        getter_strand: getter,
-                        future_last_strand: info.last,
-                        prior_touches: info.touches,
-                    }));
-                    info.touches += 1;
-                    current = getter;
-                    self.trace.push(TraceEvent::StrandStart {
-                        strand: getter,
-                        function,
-                    });
-                }
-            }
-        }
-        // Implicit sync: every function joins its spawned children before
-        // returning (futures escape).
-        current = self.drain_pending(function, current, &mut pending);
-        self.trace.push(TraceEvent::Return {
-            function,
-            last: current,
-        });
-        current
-    }
-
-    fn drain_pending(
-        &mut self,
-        function: FunctionId,
-        mut current: StrandId,
-        pending: &mut Vec<(FunctionId, ForkInfo, StrandId)>,
-    ) -> StrandId {
-        while let Some((child, fork, child_last)) = pending.pop() {
-            let join = self.new_strand();
-            self.trace.push(TraceEvent::Sync(SyncEvent {
-                parent: function,
-                child,
-                pre_join_strand: current,
-                join_strand: join,
-                child_last_strand: child_last,
-                fork,
-            }));
-            current = join;
-            self.trace.push(TraceEvent::StrandStart {
-                strand: join,
-                function,
-            });
-        }
-        current
-    }
-}
-
-/// Rebuilds the canonical serial-DF trace from the captured records.
-fn assemble(entries: Vec<Entry>) -> Trace {
-    let mut tasks: HashMap<Vec<u32>, Vec<(u32, Rec)>> = HashMap::new();
-    for entry in entries {
-        tasks
-            .entry(entry.path)
-            .or_default()
-            .push((entry.seq, entry.rec));
-    }
-    for steps in tasks.values_mut() {
-        steps.sort_by_key(|&(seq, _)| seq);
-    }
-    let mut merger = Merger {
-        tasks: &tasks,
-        trace: Trace::new(),
-        next_strand: 0,
-        next_function: 0,
-        futures: HashMap::new(),
-    };
-    let root = merger.new_function();
-    let first = merger.new_strand();
-    merger.trace.push(TraceEvent::ProgramStart { root, first });
-    let mut path = Vec::new();
-    let last = merger.emit_task(&mut path, root, first);
-    merger.trace.push(TraceEvent::ProgramEnd { last });
-    merger.trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,71 +171,5 @@ mod tests {
                 assert_eq!(counts.strands, summary.strands, "seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_capture_matches_sequential_trace() {
-        let pool = ThreadPool::new(4);
-        for (cfg, tag) in [(GenConfig::structured(), "s"), (GenConfig::general(), "g")] {
-            for seed in 0..40 {
-                let spec = generate_program(&cfg, seed);
-                let (sequential, _) = record_spec(&spec);
-                let capture = capture_spec_parallel(&pool, &spec);
-                assert_eq!(
-                    capture.trace, sequential,
-                    "{tag}{seed}: pool capture diverged from the sequential trace"
-                );
-                assert!(capture.workers >= 1, "{tag}{seed}");
-                capture
-                    .trace
-                    .validate()
-                    .unwrap_or_else(|e| panic!("{tag}{seed}: {e}"));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_capture_serializes_identically() {
-        let pool = ThreadPool::new(3);
-        let spec = generate_program(&GenConfig::general(), 7);
-        let (sequential, _) = record_spec(&spec);
-        let capture = capture_spec_parallel(&pool, &spec);
-        assert_eq!(capture.trace.to_bytes(), sequential.to_bytes());
-    }
-
-    #[test]
-    fn parallel_capture_works_single_threaded() {
-        let pool = ThreadPool::new(1);
-        let spec = generate_program(&GenConfig::structured(), 11);
-        let (sequential, _) = record_spec(&spec);
-        let capture = capture_spec_parallel(&pool, &spec);
-        assert_eq!(capture.trace, sequential);
-    }
-
-    #[test]
-    fn large_capture_uses_multiple_workers() {
-        // A deep spawn-heavy config so several workers get to steal.
-        let cfg = GenConfig {
-            max_depth: 7,
-            max_actions: 6,
-            w_spawn: 6,
-            ..GenConfig::structured()
-        };
-        let pool = ThreadPool::new(4);
-        let mut max_workers = 0;
-        for seed in 0..10 {
-            let spec = generate_program(&cfg, seed);
-            let capture = capture_spec_parallel(&pool, &spec);
-            max_workers = max_workers.max(capture.workers);
-            let (sequential, _) = record_spec(&spec);
-            assert_eq!(capture.trace, sequential, "seed {seed}");
-        }
-        // Not guaranteed by the scheduler, but with 10 spawn-heavy programs
-        // on 4 workers a lone worker would indicate the capture never left
-        // the installing thread.
-        assert!(
-            max_workers >= 2,
-            "capture never ran on more than one worker"
-        );
     }
 }

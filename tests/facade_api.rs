@@ -34,7 +34,7 @@ fn one_shot_replay_matches_sessions_and_replay_detect_on_the_fixture_corpus() {
             let sequential = replay_detect(&trace, algorithm).expect("canonical trace");
             for threads in [1, 2, 8] {
                 let tag = format!("{name} {algorithm} P={threads}");
-                let config = Config::new().algorithm(algorithm.into()).threads(threads);
+                let config = Config::new().algorithm(algorithm).threads(threads);
                 let one_shot = config.replay(&trace).expect("canonical trace");
                 let mut session = config.session();
                 session.ingest(trace.events()).expect("canonical trace");

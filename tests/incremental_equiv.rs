@@ -41,7 +41,7 @@ fn check_split(
     context: &str,
 ) {
     let mut store = temp_store("case");
-    let config = Config::new().algorithm(algorithm.into()).threads(threads);
+    let config = Config::new().algorithm(algorithm).threads(threads);
     let mut prefix = Trace::new();
     prefix.extend_events(&trace.events()[..cut]);
     store.put_trace("t", &prefix).expect("prefix is canonical");

@@ -14,7 +14,12 @@
 //! through a report after every chunk: every report after the first resumes
 //! the partitions the previous one left, and checkpoints along the chain
 //! match a one-chunk session on the same prefix.
+//!
+//! Past the report's witness cap, every merging path (one-shot workers,
+//! chunked and stored sessions) must equal the single pass exactly.
 
+use futurerd::parallel::{par_replay_detect_with, StdExecutor};
+use futurerd::replay::replay_detect;
 use futurerd::{Algorithm, Config, Detection, DetectionPath, DetectorStats, ShadowArray, Trace};
 use futurerd_dag::genprog::{generate_program, GenConfig};
 use futurerd_runtime::trace::record_spec;
@@ -462,6 +467,84 @@ fn reopened_stored_sessions_rebuild_once_then_resume() {
         store
             .put_trace("grow", &prefix)
             .expect("restores the prefix");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Racy cells of [`capped_trace`]: more than the 1,024 witnesses a
+/// [`futurerd::RaceReport`] keeps.
+const CAPPED_CELLS: usize = 1_100;
+
+/// A spawned child writes every cell of an array and the continuation
+/// reads them all before the sync: one racy granule per cell.
+fn capped_trace() -> Trace {
+    futurerd::record(|cx| {
+        let mut cells = ShadowArray::new(cx, CAPPED_CELLS, 0u32);
+        cx.spawn(|cx| {
+            for i in 0..CAPPED_CELLS {
+                cells.set(cx, i, 1);
+            }
+        });
+        for i in 0..CAPPED_CELLS {
+            let _ = cells.get(cx, i);
+        }
+        cx.sync();
+    })
+    .trace
+}
+
+#[test]
+fn every_path_matches_the_single_pass_past_the_witness_cap() {
+    let trace = capped_trace();
+    let events = trace.events();
+    let dir = std::env::temp_dir().join(format!(
+        "futurerd-session-equiv-{}-capped",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = Config::store(&dir).expect("store opens");
+    store.put_trace("capped", &trace).expect("stores");
+    for algorithm in ALGORITHMS {
+        let sequential = replay_detect(&trace, algorithm).expect("canonical trace");
+        assert_eq!(sequential.race_count(), CAPPED_CELLS, "{algorithm:?}");
+        assert_eq!(sequential.witnesses().len(), 1_024, "{algorithm:?}");
+        let config = Config::new().algorithm(algorithm);
+        let mut reports = Vec::new();
+        for workers in [2, 3] {
+            let report = par_replay_detect_with(&trace, algorithm, workers, &StdExecutor)
+                .expect("canonical trace");
+            reports.push((format!("one-shot P={workers}"), report));
+        }
+        let replayed = config.threads(2).replay(&trace).expect("canonical trace");
+        reports.push(("Config::replay P=2".into(), replayed.report().clone()));
+        for threads in THREADS {
+            let mut session = config.threads(threads).session();
+            for chunk in events.chunks(events.len().div_ceil(5)) {
+                session.ingest(chunk).expect("canonical prefix");
+                session.report().expect("prefix reports");
+            }
+            let detection = session.report().expect("session reports");
+            reports.push((
+                format!("chunked session P={threads}"),
+                detection.report().clone(),
+            ));
+        }
+        for want in [DetectionPath::Cold, DetectionPath::WarmCached] {
+            let detection = config
+                .threads(2)
+                .replay_stored(&mut store, "capped")
+                .expect("stored replay");
+            assert_eq!(detection.path, Some(want), "{algorithm:?}");
+            reports.push((
+                format!("replay_stored {want:?}"),
+                detection.report().clone(),
+            ));
+        }
+        for (path, report) in reports {
+            assert_eq!(report, sequential, "{algorithm:?}: {path}");
+            assert_eq!(report.race_count(), CAPPED_CELLS, "{algorithm:?}: {path}");
+            assert_eq!(report.witnesses().len(), 1_024, "{algorithm:?}: {path}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

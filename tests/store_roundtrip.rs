@@ -26,7 +26,7 @@ fn replay_stored(
     threads: usize,
 ) -> Detection<()> {
     Config::new()
-        .algorithm(algorithm.into())
+        .algorithm(algorithm)
         .threads(threads)
         .replay_stored(store, name)
         .expect("store detects")
