@@ -200,7 +200,7 @@ impl Config {
     }
 }
 
-impl<'s> Session<'s> {
+impl Session<'_> {
     /// The configuration this session detects under.
     pub fn config(&self) -> Config {
         self.config
