@@ -160,9 +160,14 @@ impl CountLatch {
     }
 
     /// Marks one task complete.
+    ///
+    /// The count drains under the lock, and a waiter takes the lock before
+    /// it returns ([`CountLatch::wait`]), so the waiter cannot free the
+    /// latch while this call still uses it: draining before locking would
+    /// let the last task lock a latch whose scope has already returned.
     pub(super) fn decrement(&self) {
+        let _guard = self.lock.lock();
         if self.core.decrement() {
-            let _guard = self.lock.lock();
             self.condvar.notify_all();
         }
     }
@@ -172,7 +177,8 @@ impl CountLatch {
         self.core.is_done()
     }
 
-    /// Blocks until no tasks are pending.
+    /// Blocks until no tasks are pending. Once this returns, no
+    /// [`CountLatch::decrement`] touches the latch again.
     pub(super) fn wait(&self) {
         let mut guard = self.lock.lock();
         while !self.is_done() {

@@ -699,9 +699,10 @@ impl<'scope> Scope<'scope> {
                         thread::yield_now();
                     }
                 }
-                return;
             }
         }
+        // Also after helping saw the count drain: the last decrement may
+        // still hold the latch's lock, and the latch dies with this scope.
         self.latch.wait();
     }
 }
