@@ -121,9 +121,10 @@ fn usage() -> ! {
          lint runs the workspace invariant linter (token-level, no rustc):\n\
          unsafe allowlist + SAFETY comments, obs names against the\n\
          futurerd-obs manifest, Relaxed orderings on policed atomics,\n\
-         Instant::now placement. Exit 0 ⇔ clean. --self-test lints the\n\
-         fabricated seeded-violation sources and fails unless every rule\n\
-         fires (CI's guard against a silently broken linter).\n\
+         Instant::now placement, INVARIANT comments on the panic sites of\n\
+         the reachability structures. Exit 0 ⇔ clean. --self-test lints\n\
+         the fabricated seeded-violation sources and fails unless every\n\
+         rule fires (CI's guard against a silently broken linter).\n\
          check explores the shipped lock-free cores (chunk-index claim,\n\
          latches, timeline journal, metrics registry) on the model shim —\n\
          exhaustively at 2–3 threads unless --preemptions bounds the\n\

@@ -288,8 +288,8 @@ impl Table {
 
 /// The note of a sweep's results document.
 pub const SWEEP_NOTE: &str = "cargo bench sweep of the futurerd-bench kernel table \
-    (crates/bench/src/kernels.rs documents what each group measures). Regenerate with: \
-    FUTURERD_SCALE=1 FUTURERD_BENCH_JSON=BENCH_baseline.json \
+    (crates/bench/src/kernels.rs documents what each group measures). Regenerate from the \
+    repository root with: FUTURERD_SCALE=1 FUTURERD_BENCH_JSON=$PWD/BENCH_baseline.json \
     cargo bench -p futurerd-bench --bench figs, on an otherwise idle host.";
 
 /// `cargo bench --bench figs`: measures the rows `filter` selects (all
@@ -777,21 +777,29 @@ fn fig_scaling(cells: &mut Cells) {
             })
         });
     }
-    let mut rgraph = Cell::new("fig_scaling", "substrate_rgraph/closure_chain", || ());
-    for k in [64usize, 256, 1024] {
-        rgraph = rgraph.row(k, move |_, m| {
-            m.iter(|| {
-                let mut g = RGraph::new();
-                let nodes: Vec<_> = (0..k).map(|_| g.add_node()).collect();
-                for w in nodes.windows(2) {
-                    g.add_arc(w[0], w[1]);
-                }
-                g.reaches(nodes[0], nodes[k - 1])
-            })
-        });
-    }
     cells.push(Box::new(dsu));
-    cells.push(Box::new(rgraph));
+    // Built tail-first, every arc of the chain lands on a node that already
+    // has successors, so each one takes `R`'s descendant scan.
+    for (prefix, tail_first) in [
+        ("substrate_rgraph/closure_chain", false),
+        ("substrate_rgraph/closure_chain_reversed", true),
+    ] {
+        let mut rgraph = Cell::new("fig_scaling", prefix, || ());
+        for k in [64usize, 256, 1024] {
+            rgraph = rgraph.row(k, move |_, m| {
+                m.iter(|| {
+                    let mut g = RGraph::new();
+                    let nodes: Vec<_> = (0..k).map(|_| g.add_node()).collect();
+                    for i in 0..k - 1 {
+                        let i = if tail_first { k - 2 - i } else { i };
+                        g.add_arc(nodes[i], nodes[i + 1]);
+                    }
+                    g.reaches(nodes[0], nodes[k - 1])
+                })
+            });
+        }
+        cells.push(Box::new(rgraph));
+    }
     let lcs = WorkloadKind::Lcs;
     for n in [64usize, 128, 256] {
         let full = |mode, algorithm| config_row(lcs, mode, algorithm, Config::Full);

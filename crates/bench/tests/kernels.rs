@@ -130,7 +130,10 @@ fn bench_names_select_what_their_bench_files_ran() {
         &["1000", "10000", "100000"],
     );
     scaling.extend(cross(
-        &["substrate_rgraph/closure_chain"],
+        &[
+            "substrate_rgraph/closure_chain",
+            "substrate_rgraph/closure_chain_reversed",
+        ],
         &["64", "256", "1024"],
     ));
     for n in ["64", "128", "256"] {
@@ -191,7 +194,7 @@ fn filter_selects_by_bench_name_or_id_substring() {
 fn ids_are_unique_and_cover_the_checked_in_baseline() {
     let table = Table::all();
     let rows: Vec<&Row> = table.rows().collect();
-    assert_eq!(rows.len(), 141);
+    assert_eq!(rows.len(), 144);
     let unique: HashSet<&str> = rows.iter().map(|r| r.id.as_str()).collect();
     assert_eq!(unique.len(), rows.len(), "an id appears twice");
     let benches: BTreeSet<&str> = rows.iter().map(|r| r.bench).collect();

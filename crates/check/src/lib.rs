@@ -24,8 +24,9 @@
 //!   enforces the repo invariants that otherwise live only in docs:
 //!   `unsafe` only in allowlisted files and always under a `// SAFETY:`
 //!   comment, observability names drawn from the `obs::names` manifest,
-//!   `Ordering::Relaxed` banned on claim-protocol/latch atomics, and
-//!   `Instant::now` confined to the obs/bench measurement edges.
+//!   `Ordering::Relaxed` banned on claim-protocol/latch atomics,
+//!   `Instant::now` confined to the obs/bench measurement edges, and an
+//!   `// INVARIANT:` comment on every panic site of the policed files.
 //!
 //! [`selftest`] holds the planted-bug protocol variants: deliberately
 //! broken copies of the shipped protocols that the checker must refute,

@@ -1,7 +1,7 @@
 //! The workspace invariant linter behind `futurerd-trace lint`.
 //!
 //! A token-level pass (comment/string-aware, no rustc internals) over
-//! `crates/*/src`, enforcing four repo invariants:
+//! `crates/*/src`, enforcing five repo invariants:
 //!
 //! 1. **unsafe allowlist** — `unsafe` only in the files that earned it,
 //!    and every use sits under a `// SAFETY:` comment.
@@ -13,6 +13,9 @@
 //!    excepted).
 //! 4. **time containment** — `Instant::now` only inside futurerd-obs
 //!    and the bench harness.
+//! 5. **panic audit** — in the policed files, every `.unwrap()`,
+//!    `.expect(` and `panic!(` carries an `// INVARIANT:` comment saying
+//!    why it cannot fire.
 //!
 //! The manifest is passed in by the caller (the CLI hands over
 //! `futurerd_obs::names::MANIFEST`) so this crate stays
@@ -37,16 +40,19 @@ pub enum Rule {
     RelaxedOrdering,
     /// `Instant::now` outside the measurement edges.
     InstantNow,
+    /// A panic site without an `// INVARIANT:` comment.
+    InvariantComment,
 }
 
 impl Rule {
     /// Every rule, for "did the self-test trip them all" checks.
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 6] = [
         Rule::UnsafeAllowlist,
         Rule::SafetyComment,
         Rule::ObsName,
         Rule::RelaxedOrdering,
         Rule::InstantNow,
+        Rule::InvariantComment,
     ];
 }
 
@@ -58,6 +64,7 @@ impl fmt::Display for Rule {
             Rule::ObsName => "obs-name",
             Rule::RelaxedOrdering => "relaxed-ordering",
             Rule::InstantNow => "instant-now",
+            Rule::InvariantComment => "invariant-comment",
         };
         f.write_str(s)
     }
@@ -124,6 +131,8 @@ pub struct LintConfig {
     /// Normalized dotted literals that are *not* obs names (file
     /// extensions and the like).
     pub name_allow: Vec<String>,
+    /// Path prefixes whose panic sites need an `// INVARIANT:` comment.
+    pub invariant_files: Vec<String>,
 }
 
 fn strings(items: &[&str]) -> Vec<String> {
@@ -172,6 +181,12 @@ impl LintConfig {
                 "crates/futurerd/src/session.rs",
             ]),
             name_allow: strings(&[]),
+            invariant_files: strings(&[
+                // The paper's reachability structures and their bitset:
+                // every query of the detector runs through them.
+                "crates/core/src/reachability/",
+                "crates/core/src/bitset.rs",
+            ]),
         }
     }
 }
@@ -186,6 +201,7 @@ pub fn lint_sources(files: &[(String, String)], manifest: &[&str], config: &Lint
         rules::check_obs_names(&scanned, manifest, config, &mut report.violations);
         rules::check_relaxed(&scanned, config, &mut report.violations);
         rules::check_instant(&scanned, config, &mut report.violations);
+        rules::check_invariant(&scanned, config, &mut report.violations);
         report.files_scanned += 1;
     }
     report
@@ -267,6 +283,10 @@ pub fn seeded_violations(manifest: &[&str], config: &LintConfig) -> Report {
         (
             "crates/core/src/parallel/mod.rs".to_string(),
             "fn t() { let _ = std::time::Instant::now(); }\n".to_string(),
+        ),
+        (
+            "crates/core/src/reachability/rgraph.rs".to_string(),
+            "fn u(v: Option<u8>) -> u8 { v.unwrap() }\n".to_string(),
         ),
     ];
     lint_sources(&files, manifest, config)

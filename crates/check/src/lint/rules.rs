@@ -1,4 +1,4 @@
-//! The four invariant rules, each a pass over scanned files.
+//! The five invariant rules, each a pass over scanned files.
 
 use super::scan::ScannedFile;
 use super::{LintConfig, Rule, Violation};
@@ -301,6 +301,62 @@ pub(super) fn check_instant(file: &ScannedFile, config: &LintConfig, out: &mut V
                 line: i + 1,
                 message: "Instant::now outside the allowlisted measurement edges \
                           (futurerd-obs, bench); record through obs spans instead"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// Does `code` (comments and string contents blanked) hold a panic site:
+/// `.unwrap()`, `.expect(` or `panic!(`?
+fn has_panic_site(code: &str) -> bool {
+    code.contains(".unwrap()")
+        || code.contains(".expect(")
+        || word_positions(code, "panic")
+            .into_iter()
+            .any(|at| code[at + "panic".len()..].starts_with("!("))
+}
+
+/// Rule 5: in the policed files every panic site carries an
+/// `// INVARIANT:` comment — on its own line, on a line above it that
+/// continues the same method chain, or in the comment lines directly above
+/// those — saying why it cannot fire.
+pub(super) fn check_invariant(file: &ScannedFile, config: &LintConfig, out: &mut Vec<Violation>) {
+    let policed = config
+        .invariant_files
+        .iter()
+        .any(|prefix| file.path.starts_with(prefix.as_str()));
+    if !policed {
+        return;
+    }
+    let documented = |line: usize| file.lines[line].comment.contains("INVARIANT:");
+    for (i, line) in file.lines.iter().enumerate() {
+        if line.in_test || !has_panic_site(&line.code) {
+            continue;
+        }
+        // Up over the chain the site ends (`.get(…)\n    .unwrap_or_else(…)`)
+        // to the statement's first line, then over the comment block above.
+        let mut at = i;
+        let mut ok = documented(at);
+        while !ok && at > 0 && file.lines[at].code.trim_start().starts_with('.') {
+            at -= 1;
+            ok = documented(at);
+        }
+        while !ok && at > 0 {
+            let above = &file.lines[at - 1];
+            if !above.code.trim().is_empty() || above.comment.is_empty() {
+                break;
+            }
+            at -= 1;
+            ok = documented(at);
+        }
+        if !ok {
+            out.push(Violation {
+                rule: Rule::InvariantComment,
+                path: file.path.clone(),
+                line: i + 1,
+                message: "panic site (`.unwrap()`, `.expect(` or `panic!(`) without an \
+                          `// INVARIANT:` comment on its line or just above it"
                     .to_string(),
             });
         }

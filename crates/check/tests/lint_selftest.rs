@@ -22,6 +22,7 @@ fn seeded_violations_trip_every_rule() {
         Rule::ObsName,
         Rule::RelaxedOrdering,
         Rule::InstantNow,
+        Rule::InvariantComment,
     ] {
         assert!(
             report.violations.iter().any(|v| v.rule == rule),
@@ -255,6 +256,44 @@ fn instant_now_placement() {
         &config,
     );
     assert!(good.is_empty(), "{good:?}");
+}
+
+#[test]
+fn panic_sites_in_policed_files_need_an_invariant_comment() {
+    let config = LintConfig::repo();
+    let rgraph = "crates/core/src/reachability/rgraph.rs";
+    for bare in [
+        "fn f(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n",
+        "fn f(v: Option<u8>) -> u8 {\n    v.expect(\"set\")\n}\n",
+        "fn f() {\n    panic!(\"no\");\n}\n",
+        // A comment above a blank line documents nothing below it.
+        "fn f(v: Option<u8>) -> u8 {\n    // INVARIANT: set.\n\n    v.unwrap()\n}\n",
+    ] {
+        let v = lint_one(rgraph, bare, &config);
+        assert_eq!(v.len(), 1, "{bare}: {v:?}");
+        assert_eq!(v[0].rule, Rule::InvariantComment);
+    }
+    let unwrap = "fn f(v: Option<u8>) -> u8 { v.unwrap() }\n";
+    assert_eq!(
+        lint_one("crates/core/src/bitset.rs", unwrap, &config).len(),
+        1
+    );
+    for documented in [
+        "fn f(v: Option<u8>) -> u8 {\n    v.unwrap() // INVARIANT: set.\n}\n",
+        "fn f(v: Option<u8>) -> u8 {\n    // INVARIANT: set\n    // by g.\n    v.unwrap()\n}\n",
+        // Above the first line of the chain the site ends.
+        "fn f(v: &[Option<u8>]) -> u8 {\n    // INVARIANT: set.\n    v.get(0)\n        .copied()\n        .flatten()\n        .unwrap_or_else(|| panic!(\"unset\"))\n}\n",
+        // Not panic sites: a defaulting unwrap, a panic in a string.
+        "fn f(v: Option<u8>) -> u8 {\n    v.unwrap_or(0)\n}\nfn g() -> &'static str {\n    \"panic!(\"\n}\n",
+        // Test code is not policed.
+        "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn g(v: Option<u8>) -> u8 {\n        v.unwrap()\n    }\n}\n",
+    ] {
+        let v = lint_one(rgraph, documented, &config);
+        assert!(v.is_empty(), "{documented}: {v:?}");
+    }
+    // Outside the policed files the rule does not apply.
+    let v = lint_one("crates/store/src/sidecar.rs", unwrap, &config);
+    assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]

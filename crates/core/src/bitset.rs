@@ -6,10 +6,8 @@
 //! execution unfolds, so this bitset extends itself on demand and treats
 //! out-of-range bits as zero.
 
-use serde::{Deserialize, Serialize};
-
 /// A dynamically growing bitset.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynBitSet {
     words: Vec<u64>,
 }
@@ -18,13 +16,6 @@ impl DynBitSet {
     /// Creates an empty bitset.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty bitset with room for `bits` bits.
-    pub fn with_capacity(bits: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(bits.div_ceil(64)),
-        }
     }
 
     #[inline]
@@ -41,14 +32,6 @@ impl DynBitSet {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Clears bit `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        if let Some(w) = self.words.get_mut(i / 64) {
-            *w &= !(1u64 << (i % 64));
-        }
-    }
-
     /// Returns bit `i` (false if beyond the current capacity).
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -60,8 +43,7 @@ impl DynBitSet {
 
     /// Ors `other` into `self` (bit-parallel). Trailing and interior zero
     /// words of `other` are skipped, so the cost is proportional to the
-    /// number of non-zero words — important for the reachability matrix `R`,
-    /// whose per-arc propagation usually adds a single new bit to many rows.
+    /// number of non-zero words.
     pub fn union_with(&mut self, other: &DynBitSet) {
         let last_nonzero = match other.words.iter().rposition(|&w| w != 0) {
             Some(i) => i,
@@ -75,21 +57,25 @@ impl DynBitSet {
         }
     }
 
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterates over the indices of set bits, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| ((w >> b) & 1 == 1).then_some(wi * 64 + b))
-        })
+    /// The one closure update of a predecessor matrix: row `to` inherits
+    /// row `from` and bit `from` itself (`rows[to] |= rows[from] ∪ {from}`),
+    /// in place, one word-parallel OR with no copy of either row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to` or either index is out of bounds.
+    pub fn inherit(rows: &mut [DynBitSet], from: usize, to: usize) {
+        let (src, dst) = if from < to {
+            let (lo, hi) = rows.split_at_mut(to);
+            (&lo[from], &mut hi[0])
+        } else {
+            let (lo, hi) = rows.split_at_mut(from);
+            (&hi[0], &mut lo[to])
+        };
+        // Bit `from` first: `from` is usually the row's highest bit, so the
+        // row grows once, to its final length.
+        dst.set(from);
+        dst.union_with(src);
     }
 
     /// Approximate heap usage in bytes (for the memory statistics the paper
@@ -106,12 +92,13 @@ mod tests {
     #[test]
     fn set_get_roundtrip_across_word_boundaries() {
         let mut b = DynBitSet::new();
-        for i in [0usize, 1, 63, 64, 65, 127, 128, 1000] {
+        let bits = [0usize, 1, 63, 64, 65, 127, 128, 1000];
+        for i in bits {
             assert!(!b.get(i));
             b.set(i);
             assert!(b.get(i));
         }
-        assert_eq!(b.count(), 8);
+        assert_eq!((0..1100).filter(|&i| b.get(i)).count(), bits.len());
     }
 
     #[test]
@@ -119,18 +106,7 @@ mod tests {
         let b = DynBitSet::new();
         assert!(!b.get(0));
         assert!(!b.get(10_000));
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_bits() {
-        let mut b = DynBitSet::new();
-        b.set(70);
-        b.clear(70);
-        assert!(!b.get(70));
-        // Clearing an out-of-range bit is a no-op.
-        b.clear(10_000);
-        assert!(b.is_empty());
+        assert_eq!(b.heap_bytes(), 0);
     }
 
     #[test]
@@ -141,22 +117,22 @@ mod tests {
         b.set(200);
         a.union_with(&b);
         assert!(a.get(1) && a.get(200));
-        assert_eq!(a.count(), 2);
+        assert_eq!((0..300).filter(|&i| a.get(i)).count(), 2);
     }
 
     #[test]
-    fn iter_yields_sorted_indices() {
-        let mut b = DynBitSet::new();
-        for i in [5usize, 64, 3, 128] {
-            b.set(i);
-        }
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![3, 5, 64, 128]);
-    }
-
-    #[test]
-    fn with_capacity_does_not_set_bits() {
-        let b = DynBitSet::with_capacity(1024);
-        assert!(b.is_empty());
-        assert_eq!(b.count(), 0);
+    fn inherit_ors_the_row_and_its_index_in_both_directions() {
+        let mut rows = vec![DynBitSet::new(); 4];
+        rows[0].set(130);
+        rows[3].set(2);
+        // Forward: row 3 takes row 0 and bit 0.
+        DynBitSet::inherit(&mut rows, 0, 3);
+        let set = |b: &DynBitSet| (0..200).filter(|&i| b.get(i)).collect::<Vec<_>>();
+        assert_eq!(set(&rows[3]), vec![0, 2, 130]);
+        // Backward: row 1 takes row 3 and bit 3; row 3 is unchanged.
+        DynBitSet::inherit(&mut rows, 3, 1);
+        assert_eq!(set(&rows[1]), vec![0, 2, 3, 130]);
+        assert_eq!(set(&rows[3]), vec![0, 2, 130]);
+        assert_eq!(set(&rows[0]), vec![130]);
     }
 }

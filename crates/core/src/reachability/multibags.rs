@@ -94,6 +94,9 @@ impl MultiBags {
     }
 
     fn elem(&self, strand: StrandId) -> ElementId {
+        // INVARIANT: a strand gets its element when it starts; queries name
+        // only strands that have started (the `Reachability` contract) and a
+        // canonical event stream starts a strand before an event names it.
         self.elem_of
             .get(strand.index())
             .copied()
@@ -102,6 +105,9 @@ impl MultiBags {
     }
 
     fn function_member(&self, function: FunctionId) -> StrandId {
+        // INVARIANT: a function's first strand is recorded when it starts,
+        // and a canonical event stream starts a function before it returns,
+        // syncs or is touched.
         self.first_strand
             .get(function.index())
             .copied()

@@ -92,12 +92,10 @@ impl MultiBagsPlus {
         self.r.num_nodes()
     }
 
-    /// Read-only access to `R` (for tests reproducing Figure 5).
-    pub fn r_graph(&self) -> &RGraph {
-        &self.r
-    }
-
     fn elem(&self, strand: StrandId) -> ElementId {
+        // INVARIANT: every strand is registered in DNSP by the event that
+        // creates it (program start, spawn, create_fut, get_fut, sync), and
+        // a canonical event stream creates a strand before naming it.
         self.nsp_elem
             .get(strand.index())
             .copied()
@@ -441,6 +439,29 @@ mod tests {
         // program's initial one (k = 0 ⇒ |R| = O(1)).
         assert_eq!(mbp.num_attached_sets(), 1);
         assert_eq!(mbp.stats().unexpected_attachifies, 0);
+    }
+
+    /// `R` keeps one direction of its closure, so its rows stay within one
+    /// bit per pair of attached sets: on the default bst general program
+    /// (the one `futurerd-trace record` captures; 684 attached sets) the
+    /// closure takes at most `sets² / 8` bytes.
+    #[test]
+    fn closure_keeps_one_bit_per_pair_on_bst() {
+        use futurerd_workloads::{run_workload, FutureMode, WorkloadKind, WorkloadParams};
+        let params = WorkloadParams::tiny();
+        let (mbp, _) = run_workload(
+            WorkloadKind::Bst,
+            FutureMode::General,
+            &params,
+            MultiBagsPlus::new(),
+        );
+        let stats = mbp.stats();
+        assert!(
+            8 * stats.r_bytes <= stats.attached_sets.pow(2),
+            "{} attached sets, {} closure bytes",
+            stats.attached_sets,
+            stats.r_bytes
+        );
     }
 
     #[test]

@@ -41,10 +41,7 @@ impl GraphOracle {
     fn add_edge(&mut self, from: StrandId, to: StrandId) {
         self.ensure(from);
         self.ensure(to);
-        let from_pred = self.pred[from.index()].clone();
-        let dst = &mut self.pred[to.index()];
-        dst.union_with(&from_pred);
-        dst.set(from.index());
+        DynBitSet::inherit(&mut self.pred, from.index(), to.index());
     }
 
     /// True iff `u` strictly precedes `v` in the dag recorded so far.

@@ -6,6 +6,13 @@
 //! O(1). FutureRD represents the closure as bit vectors and propagates
 //! reachability with parallel bit operations; this implementation does the
 //! same with [`DynBitSet`].
+//!
+//! Only one direction of the closure is kept: row `b` holds the nodes that
+//! reach `b`, so `reaches(a, b)` reads bit `a` of it, and each node has a
+//! has-successor flag. An arc into a node without successors — the common
+//! case, since most arcs point at a set the event just created — is one
+//! word-parallel row OR; an arc into a node with successors also updates
+//! its descendants, found by an O(k) probe scan (see [`RGraph::add_arc`]).
 
 use crate::bitset::DynBitSet;
 use serde::{Deserialize, Serialize};
@@ -33,8 +40,8 @@ impl std::fmt::Display for RNodeId {
 pub struct RGraph {
     /// `pred[i]`: nodes with a (non-empty) path to `i`.
     pred: Vec<DynBitSet>,
-    /// `succ[i]`: nodes reachable from `i` by a non-empty path.
-    succ: Vec<DynBitSet>,
+    /// `has_succ[i]`: an arc leaves `i`, so some row may hold bit `i`.
+    has_succ: Vec<bool>,
     arcs: u64,
 }
 
@@ -59,11 +66,19 @@ impl RGraph {
     pub fn add_node(&mut self) -> RNodeId {
         let id = RNodeId(self.pred.len() as u32);
         self.pred.push(DynBitSet::new());
-        self.succ.push(DynBitSet::new());
+        self.has_succ.push(false);
         id
     }
 
     /// Adds an arc `from -> to` and updates the transitive closure.
+    ///
+    /// Row `to` inherits row `from` plus bit `from`. If `to` already has
+    /// successors, so does every row holding bit `to` (every descendant of
+    /// `to`), found by an O(k) probe of bit `to` in each row. The scan is
+    /// needed because arcs do not always point forward in creation order:
+    /// at a sync whose branches are both attached (Figure 4, lines 33–40)
+    /// the fork's set `rf` can be newer than the first child strand's set
+    /// `rs1`, which by then has descendants of its own.
     ///
     /// # Panics
     ///
@@ -78,41 +93,28 @@ impl RGraph {
         if self.reaches(from, to) {
             return;
         }
-        // ancestors = pred(from) ∪ {from}; descendants = succ(to) ∪ {to}.
-        let mut ancestors = self.pred[from.index()].clone();
-        ancestors.set(from.index());
-        // In MultiBags+ almost every arc points at a freshly created node
-        // (`to` has no successors yet), so the descendant set is tiny;
-        // enumerate it explicitly and update the closure with single-bit
-        // writes, which keeps the common case at O(|ancestors|) per arc and
-        // the total closure maintenance at the O(k²) of Theorem 5.1.
-        let mut descendant_ids: Vec<usize> = self.succ[to.index()].iter().collect();
-        descendant_ids.push(to.index());
-        for a in ancestors.iter() {
-            for &d in &descendant_ids {
-                self.succ[a].set(d);
+        let (from, to) = (from.index(), to.index());
+        DynBitSet::inherit(&mut self.pred, from, to);
+        if self.has_succ[to] {
+            for d in 0..self.pred.len() {
+                if self.pred[d].get(to) {
+                    DynBitSet::inherit(&mut self.pred, from, d);
+                }
             }
         }
-        for &d in &descendant_ids {
-            self.pred[d].union_with(&ancestors);
-        }
+        self.has_succ[from] = true;
     }
 
     /// True iff there is a non-empty path `from -> to`.
     pub fn reaches(&self, from: RNodeId, to: RNodeId) -> bool {
-        self.succ
-            .get(from.index())
-            .map(|s| s.get(to.index()))
-            .unwrap_or(false)
+        self.pred
+            .get(to.index())
+            .is_some_and(|row| row.get(from.index()))
     }
 
     /// Approximate heap usage of the closure in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.pred
-            .iter()
-            .chain(self.succ.iter())
-            .map(|b| b.heap_bytes())
-            .sum()
+        self.has_succ.capacity() + self.pred.iter().map(DynBitSet::heap_bytes).sum::<usize>()
     }
 }
 
@@ -209,7 +211,17 @@ mod tests {
                 }
             }
         }
-        // Floyd–Warshall closure.
+        let adj = floyd_warshall(adj);
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(g.reaches(nodes[i], nodes[j]), adj[i][j], "({i},{j})");
+            }
+        }
+    }
+
+    /// Floyd–Warshall closure of `adj` (`adj[i][j]`: an arc `i -> j`).
+    fn floyd_warshall(mut adj: Vec<Vec<bool>>) -> Vec<Vec<bool>> {
+        let n = adj.len();
         for k in 0..n {
             for i in 0..n {
                 if adj[i][k] {
@@ -221,9 +233,64 @@ mod tests {
                 }
             }
         }
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(g.reaches(nodes[i], nodes[j]), adj[i][j], "({i},{j})");
+        adj
+    }
+
+    #[test]
+    fn closure_matches_floyd_warshall_under_shuffled_arcs() {
+        // Arcs that land on nodes which already have successors take the
+        // descendant scan: random dags whose topological order is a shuffle
+        // of the node ids, with the arcs inserted in shuffled order, checked
+        // against Floyd–Warshall at every quarter of the insertions.
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..8 {
+            let n = 40 + (next() % 161) as usize;
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut arcs = Vec::new();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if next() % (n as u64) < 3 {
+                        arcs.push((order[i], order[j]));
+                    }
+                }
+            }
+            for i in (1..arcs.len()).rev() {
+                arcs.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut g = RGraph::new();
+            let nodes: Vec<_> = (0..n).map(|_| g.add_node()).collect();
+            let mut adj = vec![vec![false; n]; n];
+            let checkpoints = [
+                arcs.len() / 4,
+                arcs.len() / 2,
+                3 * arcs.len() / 4,
+                arcs.len(),
+            ];
+            for (inserted, &(a, b)) in arcs.iter().enumerate() {
+                g.add_arc(nodes[a], nodes[b]);
+                adj[a][b] = true;
+                if checkpoints.contains(&(inserted + 1)) {
+                    let closure = floyd_warshall(adj.clone());
+                    for i in 0..n {
+                        for j in 0..n {
+                            assert_eq!(
+                                g.reaches(nodes[i], nodes[j]),
+                                closure[i][j],
+                                "n={n}, after {} arcs: ({i},{j})",
+                                inserted + 1
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -48,6 +48,9 @@ impl SpBags {
     }
 
     fn elem(&self, strand: StrandId) -> ElementId {
+        // INVARIANT: a strand gets its element when it starts; queries name
+        // only strands that have started (the `Reachability` contract) and a
+        // canonical event stream starts a strand before an event names it.
         self.elem_of
             .get(strand.index())
             .copied()
@@ -144,10 +147,14 @@ impl Observer for SpBags {
     }
 
     fn on_create_future(&mut self, _ev: &CreateFutureEvent) {
+        // INVARIANT: SP-Bags is fork-join only, and feeding it futures panics
+        // by contract (module docs); replay callers check `runnable_for`, and
+        // the facade's replay returns `Error::Unsupported` instead.
         panic!("SP-Bags cannot race detect programs that use futures");
     }
 
     fn on_get_future(&mut self, _ev: &GetFutureEvent) {
+        // INVARIANT: as for `on_create_future`; a get needs a future.
         panic!("SP-Bags cannot race detect programs that use futures");
     }
 }

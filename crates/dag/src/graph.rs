@@ -223,13 +223,6 @@ impl Dag {
             .collect()
     }
 
-    /// All strands belonging to `function`, in id order.
-    pub fn strands_of(&self, function: FunctionId) -> Vec<StrandId> {
-        self.strands()
-            .filter(|s| self.contains_strand(*s) && self.function_of(*s) == function)
-            .collect()
-    }
-
     /// Counts edges of each kind: `(continue, spawn, join, create, get)`.
     pub fn edge_kind_counts(&self) -> EdgeKindCounts {
         let mut c = EdgeKindCounts::default();
@@ -397,16 +390,6 @@ mod tests {
         for e in d.edges() {
             assert!(pos[e.from.index()] < pos[e.to.index()]);
         }
-    }
-
-    #[test]
-    fn strands_of_function_filters() {
-        let d = diamond();
-        assert_eq!(
-            d.strands_of(FunctionId(0)),
-            vec![StrandId(0), StrandId(2), StrandId(3)]
-        );
-        assert_eq!(d.strands_of(FunctionId(1)), vec![StrandId(1)]);
     }
 
     #[test]

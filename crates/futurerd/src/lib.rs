@@ -442,7 +442,7 @@ impl Config {
             };
             return sequential_detection(self, trace, summary_from_counts(&counts));
         }
-        let pool = ThreadPool::shared(self.threads);
+        let pool = ThreadPool::shared(workers);
         let (counts, detected) =
             par_replay_with(trace, self.algorithm, workers, &PoolExecutor(&pool))?;
         let summary = summary_from_counts(&counts);

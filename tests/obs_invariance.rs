@@ -455,6 +455,19 @@ fn one_shot_replay_runs_no_more_passes_than_cores() {
         let ran = snapshot.stage("detect.partition").map_or(0, |s| s.count);
         assert_eq!(ran, passes, "{path}: passes at P={}", cores + 1);
         assert_eq!(report, single, "{path}");
+        if path == "Config::replay" {
+            // The facade's pool is sized to the passes it runs: it exports
+            // one `pool.worker.<i>` gauge set per thread, and none past
+            // the last pass.
+            let last = passes.saturating_sub(1);
+            let has = |i: u64| {
+                snapshot
+                    .metric(&format!("pool.worker.{i}.executed"))
+                    .is_some()
+            };
+            assert_eq!(has(last), passes > 0, "{path}: pool worker {last}");
+            assert!(!has(passes), "{path}: an idle pool worker {passes}");
+        }
     }
     futurerd_obs::set_enabled(false);
 }
