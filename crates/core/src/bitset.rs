@@ -9,7 +9,9 @@
 /// A dynamically growing bitset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynBitSet {
-    words: Vec<u64>,
+    /// Word `i` holds bits `64·i .. 64·i + 64`, lowest bit first; bits past
+    /// the last word read as zero.
+    pub words: Vec<u64>,
 }
 
 impl DynBitSet {
@@ -76,6 +78,23 @@ impl DynBitSet {
         // row grows once, to its final length.
         dst.set(from);
         dst.union_with(src);
+    }
+
+    /// Calls `f` with each bit that [`DynBitSet::inherit`]`(rows, from, to)`
+    /// would newly set in row `to`: the bits of `rows[from] ∪ {from}` that
+    /// row `to` lacks.
+    pub fn for_each_gain(rows: &[DynBitSet], from: usize, to: usize, mut f: impl FnMut(usize)) {
+        let (src, dst) = (&rows[from], &rows[to]);
+        if !dst.get(from) {
+            f(from);
+        }
+        for (i, &w) in src.words.iter().enumerate() {
+            let mut gained = w & !dst.words.get(i).copied().unwrap_or(0);
+            while gained != 0 {
+                f(i * 64 + gained.trailing_zeros() as usize);
+                gained &= gained - 1;
+            }
+        }
     }
 
     /// Approximate heap usage in bytes (for the memory statistics the paper

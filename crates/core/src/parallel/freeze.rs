@@ -24,21 +24,26 @@
 //! * the `DNSP` sets of MultiBags+ get the same merge-forest treatment,
 //!   with their tag timeline (`Unattached{attPred}` → attachified →
 //!   `attSucc` assignments) recorded per set;
-//! * the reachability dag `R` over attached sets is frozen as an
-//!   **earliest-connection closure**: arcs arrive in trace order, so the
-//!   first time a pair becomes connected is the earliest position at which
-//!   any path exists, and `reaches(a, b)` *at position t* is one hash-map
-//!   probe (`earliest(a→b) < t`) — the "attached-bag closure bits" of the
-//!   frozen index.
+//! * the reachability dag `R` over attached sets keeps the closure the live
+//!   MultiBags+ keeps, [`RGraph`]'s bit rows, and **stamps** each bit with
+//!   the position of the arc that set it: arcs arrive in trace order, so
+//!   that is the earliest position at which any path connects the pair.
+//!   `reaches(a, b)` *at position t* reads bit `a` of row `b`, then `b`'s
+//!   stamps: the position of the row's first arc, and a short list of the
+//!   bits it gained later — the "attached-bag closure bits" of the frozen
+//!   index.
 //!
 //! All query paths are `&self` with no interior mutability, so one
 //! [`ReachIndex`] is shared by every detection worker.
 
 use super::DetectExecutor;
+use crate::bitset::DynBitSet;
+use crate::reachability::{RGraph, RNodeId};
 use crate::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
 use futurerd_dag::trace::Trace;
 use futurerd_dag::{FunctionId, MemAddr, Observer, StrandId};
+use std::collections::BTreeMap;
 
 /// A position in the trace: the index of an event in the stream. Every
 /// timeline comparison is strict (`<`): an update at position `p` is visible
@@ -72,24 +77,11 @@ pub struct FrozenBags {
 
 impl FrozenBags {
     /// True iff `u` was in an S-bag just before the event at `pos` — exactly
-    /// what `MultiBags::in_s_bag(u)` answered at that point of the replay.
-    pub fn in_s_bag_at(&self, u: StrandId, pos: Pos) -> bool {
-        let mut set = self.set_of_strand[u.index()];
-        debug_assert_ne!(set, NO_SET, "strand {u} had not started at {pos}");
-        loop {
-            let s = &self.sets[set as usize];
-            match s.merged {
-                Some((p, target)) if p < pos => set = target,
-                _ => return s.relabel.is_none_or(|p| p >= pos),
-            }
-        }
-    }
-
-    /// As [`FrozenBags::in_s_bag_at`], resuming the merge-chain walk from a
-    /// per-strand cursor. Valid only for non-decreasing `pos` per cursor
-    /// (the chain position a strand resolved to can never move backwards),
-    /// which makes the whole walk amortized O(1) per query for workers
-    /// scanning the trace in order.
+    /// what `MultiBags::in_s_bag(u)` answered at that point of the replay —
+    /// resuming the merge-chain walk from a per-strand cursor. Valid only for
+    /// non-decreasing `pos` per cursor (the chain position a strand resolved
+    /// to can never move backwards), which makes the whole walk amortized
+    /// O(1) per query for workers scanning the trace in order.
     fn in_s_bag_at_cached(&self, cursor: &mut Vec<Cursor>, u: StrandId, pos: Pos) -> bool {
         let set = resolve_cached(
             &self.sets,
@@ -100,11 +92,6 @@ impl FrozenBags {
             pos,
         );
         self.sets[set as usize].relabel.is_none_or(|p| p >= pos)
-    }
-
-    /// Number of set objects in the merge forest.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
     }
 }
 
@@ -198,6 +185,10 @@ impl BagsBuilder {
     }
 
     fn set_of_function(&mut self, function: FunctionId) -> u32 {
+        // INVARIANT: a validated stream starts a function's first strand
+        // before a `Return`, `Sync` or `GetFuture` names the function, and a
+        // resumed freezer's table was exported by a freeze of the same prefix
+        // (the sidecar's trace hash binds the two).
         let member = self
             .first_strand
             .get(function.index())
@@ -292,153 +283,53 @@ struct NspSet {
     merged: Option<(Pos, u32)>,
 }
 
-/// Sentinel for "no path" in the timed closure rows.
+/// Sentinel for "never" in a timeline: no first arc yet, no merge ahead.
 const NEVER: Pos = Pos::MAX;
 
-/// The `R` dag over attached sets with an earliest-connection transitive
-/// closure: `earliest[a→b]` is the position of the arc insertion that first
-/// connected `a` to `b`. Arcs arrive in trace order during the freezing
-/// replay, so a single incremental pass computes it; afterwards a
-/// reachability-at-position query is one array probe.
+/// `R` as the freezer keeps it: the closure the live MultiBags+ keeps
+/// ([`RGraph`]), plus when each bit was set. Arcs arrive in trace order, so
+/// a bit is set at the earliest position at which any path connects its
+/// pair, and `reaches(a, b)` at position `t` asks whether that position
+/// precedes `t`.
 ///
-/// Rows are dense `Pos` vectors (lazily grown, [`NEVER`] = unreachable) —
-/// the timed analogue of `RGraph`'s closure bit vectors, paying 32 bits per
-/// pair instead of one to carry the connection position.
+/// A row takes most of its bits from its first arcs, all at one position
+/// (the arcs of one event into a node it just created): `first[b]`. Only an
+/// arc into a node that already has bits or successors — at a sync whose
+/// branches are both attached (Figure 4, lines 33–40) — sets bits later;
+/// `late` maps each such `(row, bit)` to its position.
 #[derive(Debug, Clone, Default)]
-struct TimedClosure {
-    /// `earliest[b][a]` = earliest position with a non-empty path `a → b`.
-    /// Stored pred-side so the dominant arc shape (into a freshly created
-    /// node) stamps one contiguous row instead of scattering across rows.
-    earliest_pred: Vec<Vec<Pos>>,
-    /// `pred[b]` / `succ[a]`: the closure as dup-free adjacency lists — each
-    /// pair is pushed exactly once, when it is first stamped, so ancestor /
-    /// descendant enumeration is proportional to the sets' actual sizes.
-    pred_list: Vec<Vec<u32>>,
-    succ_list: Vec<Vec<u32>>,
-    entries: usize,
-    /// False when the closure was imported from raw rows without its
-    /// adjacency lists. Queries never need the lists, so a warm index load
-    /// skips the O(entries) rebuild; [`TimedClosure::ensure_lists`] builds
-    /// them on demand before the first post-import [`TimedClosure::add_arc`].
-    lists_stale: bool,
+struct StampedR {
+    graph: RGraph,
+    /// Position of each row's first arc ([`NEVER`] while it has none).
+    first: Vec<Pos>,
+    late: BTreeMap<(u32, u32), Pos>,
 }
 
-impl TimedClosure {
+impl StampedR {
     fn add_node(&mut self) -> u32 {
-        let id = self.earliest_pred.len() as u32;
-        self.earliest_pred.push(Vec::new());
-        self.pred_list.push(Vec::new());
-        self.succ_list.push(Vec::new());
-        id
-    }
-
-    #[inline]
-    fn earliest(&self, from: u32, to: u32) -> Pos {
-        self.earliest_pred[to as usize]
-            .get(from as usize)
-            .copied()
-            .unwrap_or(NEVER)
-    }
-
-    /// Rebuilds the adjacency lists (and entry count) from the closure rows
-    /// after a raw import. O(nodes² ) scan, done once, only when the frozen
-    /// state is actually extended.
-    fn ensure_lists(&mut self) {
-        if !self.lists_stale {
-            return;
-        }
-        let nodes = self.earliest_pred.len();
-        let mut pred_counts = vec![0u32; nodes];
-        let mut succ_counts = vec![0u32; nodes];
-        let mut entries = 0usize;
-        for (d, row) in self.earliest_pred.iter().enumerate() {
-            for (a, &p) in row.iter().enumerate() {
-                if p != NEVER {
-                    pred_counts[d] += 1;
-                    succ_counts[a] += 1;
-                    entries += 1;
-                }
-            }
-        }
-        self.pred_list = pred_counts
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        self.succ_list = succ_counts
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        for (d, row) in self.earliest_pred.iter().enumerate() {
-            for (a, &p) in row.iter().enumerate() {
-                if p != NEVER {
-                    debug_assert_ne!(a, d, "closure rows must not contain self-loops");
-                    self.pred_list[d].push(a as u32);
-                    self.succ_list[a].push(d as u32);
-                }
-            }
-        }
-        self.entries = entries;
-        self.lists_stale = false;
+        self.first.push(NEVER);
+        self.graph.add_node().0
     }
 
     fn add_arc(&mut self, from: u32, to: u32, pos: Pos) {
-        debug_assert!(!self.lists_stale, "ensure_lists must run before add_arc");
-        debug_assert_ne!(from, to, "R is acyclic");
-        if self.earliest(from, to) != NEVER {
-            return; // already implied: no new connections
-        }
-        let mut ancestors = std::mem::take(&mut self.pred_list[from as usize]);
-        ancestors.push(from);
-        // Almost every arc points at a freshly created node (`to` has no
-        // successors yet), so the descendant set is usually just `to`.
-        let mut descendants = std::mem::take(&mut self.succ_list[to as usize]);
-        descendants.push(to);
-        let row_len = ancestors.iter().max().copied().expect("contains `from`") as usize + 1;
-        for &d in &descendants {
-            let row = &mut self.earliest_pred[d as usize];
-            if row.len() < row_len {
-                row.resize(row_len, NEVER);
-            }
-            for &a in &ancestors {
-                debug_assert_ne!(a, d, "arc {from}->{to} would create a cycle in R");
-                if row[a as usize] == NEVER {
-                    row[a as usize] = pos;
-                    self.entries += 1;
-                    self.pred_list[d as usize].push(a);
-                    self.succ_list[a as usize].push(d);
+        let (first, late) = (&mut self.first, &mut self.late);
+        self.graph
+            .add_arc_with(RNodeId(from), RNodeId(to), |rows, row| {
+                if first[row] == NEVER {
+                    first[row] = pos;
+                } else if first[row] < pos {
+                    DynBitSet::for_each_gain(rows, from as usize, row, |bit| {
+                        late.insert((row as u32, bit as u32), pos);
+                    });
                 }
-            }
-        }
-        // Put the borrowed lists back (dropping the appended self entries).
-        ancestors.pop();
-        descendants.pop();
-        // The loop above may have pushed new entries while the lists were
-        // taken; merge rather than overwrite.
-        let from_new = std::mem::replace(&mut self.pred_list[from as usize], ancestors);
-        self.pred_list[from as usize].extend(from_new);
-        let to_new = std::mem::replace(&mut self.succ_list[to as usize], descendants);
-        self.succ_list[to as usize].extend(to_new);
+            });
     }
 
     /// True iff a non-empty path `from → to` existed before position `pos`.
     fn reaches_at(&self, from: u32, to: u32, pos: Pos) -> bool {
-        self.earliest(from, to) < pos
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.earliest_pred.len()
-    }
-
-    fn closure_entries(&self) -> usize {
-        if self.lists_stale {
-            // Imported without lists: count on demand (stats path only).
-            return self
-                .earliest_pred
-                .iter()
-                .map(|row| row.iter().filter(|&&p| p != NEVER).count())
-                .sum();
-        }
-        self.entries
+        self.graph.reaches(RNodeId(from), RNodeId(to))
+            && self.first[to as usize] < pos
+            && self.late.get(&(to, from)).is_none_or(|&set| set < pos)
     }
 }
 
@@ -447,23 +338,10 @@ impl TimedClosure {
 pub struct FrozenNsp {
     set_of_strand: Vec<u32>,
     sets: Vec<NspSet>,
-    r: TimedClosure,
+    r: StampedR,
 }
 
 impl FrozenNsp {
-    /// The set holding `strand` just before the event at `pos`.
-    fn set_at(&self, strand: StrandId, pos: Pos) -> &NspSet {
-        let mut set = self.set_of_strand[strand.index()];
-        debug_assert_ne!(set, NO_SET, "strand {strand} not registered in DNSP");
-        loop {
-            let s = &self.sets[set as usize];
-            match s.merged {
-                Some((p, target)) if p < pos => set = target,
-                _ => return s,
-            }
-        }
-    }
-
     /// The `R` node of `strand`'s set if it was attached at `pos`.
     fn attached_node_at(set: &NspSet, pos: Pos) -> Option<u32> {
         match set.birth {
@@ -473,18 +351,6 @@ impl FrozenNsp {
                 _ => None,
             },
         }
-    }
-
-    /// The attached-predecessor proxy (query destination side, Figure 3).
-    fn att_pred_proxy_at(&self, strand: StrandId, pos: Pos) -> u32 {
-        let set = self.set_at(strand, pos);
-        Self::pred_of_set(set, pos)
-    }
-
-    /// The attached-successor proxy (query source side), if assigned yet.
-    fn att_succ_proxy_at(&self, strand: StrandId, pos: Pos) -> Option<u32> {
-        let set = self.set_at(strand, pos);
-        Self::succ_of_set(set, pos)
     }
 
     fn pred_of_set(set: &NspSet, pos: Pos) -> u32 {
@@ -505,7 +371,8 @@ impl FrozenNsp {
             .map(|&(_, rnode)| rnode)
     }
 
-    /// Cursor-cached variants of the proxy lookups (monotone `pos` only).
+    /// The attached-predecessor proxy of `strand` at `pos` (query
+    /// destination side, Figure 3); monotone `pos` per cursor.
     fn att_pred_proxy_at_cached(
         &self,
         cursor: &mut Vec<Cursor>,
@@ -523,6 +390,7 @@ impl FrozenNsp {
         Self::pred_of_set(&self.sets[idx as usize], pos)
     }
 
+    /// The attached-successor proxy (query source side), if assigned yet.
     fn att_succ_proxy_at_cached(
         &self,
         cursor: &mut Vec<Cursor>,
@@ -538,11 +406,6 @@ impl FrozenNsp {
             pos,
         );
         Self::succ_of_set(&self.sets[idx as usize], pos)
-    }
-
-    /// Number of attached sets (`R` nodes) in the frozen index.
-    pub fn num_attached_sets(&self) -> usize {
-        self.r.num_nodes()
     }
 }
 
@@ -617,11 +480,7 @@ impl NspBuilder {
     /// lookup is "as of now", i.e. after all updates so far).
     fn att_pred_proxy(&mut self, strand: StrandId, pos: Pos) -> u32 {
         let root = self.set_of(strand);
-        let set = &self.frozen.sets[root as usize];
-        FrozenNsp::attached_node_at(set, pos + 1).unwrap_or(match set.birth {
-            NspBirth::Unattached { att_pred } => att_pred,
-            NspBirth::Attached { rnode } => rnode,
-        })
+        FrozenNsp::pred_of_set(&self.frozen.sets[root as usize], pos + 1)
     }
 
     /// `Attachify(u)` (Figure 4, lines 18–22).
@@ -714,31 +573,6 @@ impl ReachIndex {
         self.algorithm
     }
 
-    /// True iff `u` preceded `v` at trace position `pos` according to the
-    /// frozen algorithm — the exact answer `precedes_current(u)` gave when
-    /// the event at `pos` (an access by `v`) was replayed sequentially.
-    pub fn precedes_at(&self, u: StrandId, v: StrandId, pos: u32) -> bool {
-        match &self.inner {
-            // MultiBags answers from the bag tag alone (Figure 1): the
-            // current strand is not consulted.
-            IndexInner::MultiBags(bags) => bags.in_s_bag_at(u, pos),
-            IndexInner::MultiBagsPlus { dsp, nsp } => {
-                if u == v {
-                    return true;
-                }
-                // Figure 3: SP bags first, then the proxies against R.
-                if dsp.in_s_bag_at(u, pos) {
-                    return true;
-                }
-                let sv = nsp.att_pred_proxy_at(v, pos);
-                let Some(su) = nsp.att_succ_proxy_at(u, pos) else {
-                    return false;
-                };
-                nsp.r.reaches_at(su, sv, pos)
-            }
-        }
-    }
-
     /// Creates a fresh query cursor for this index. A cursor memoizes the
     /// per-strand merge-chain walks, making queries amortized O(1) — but it
     /// requires the positions passed to
@@ -753,8 +587,11 @@ impl ReachIndex {
         }
     }
 
-    /// As [`precedes_at`](ReachIndex::precedes_at), with the chain walks
-    /// resumed from `cursor`. Positions must be non-decreasing per cursor.
+    /// True iff `u` preceded `v` at trace position `pos` according to the
+    /// frozen algorithm — the exact answer `precedes_current(u)` gave when
+    /// the event at `pos` (an access by `v`) was replayed sequentially. The
+    /// chain walks resume from `cursor`, so positions must be non-decreasing
+    /// per cursor.
     pub fn precedes_at_cached(
         &self,
         cursor: &mut IndexCursor,
@@ -771,11 +608,14 @@ impl ReachIndex {
             cursor.last_pos = pos;
         }
         match &self.inner {
+            // MultiBags answers from the bag tag alone (Figure 1): the
+            // current strand is not consulted.
             IndexInner::MultiBags(bags) => bags.in_s_bag_at_cached(&mut cursor.bags, u, pos),
             IndexInner::MultiBagsPlus { dsp, nsp } => {
                 if u == v {
                     return true;
                 }
+                // Figure 3: SP bags first, then the proxies against R.
                 if dsp.in_s_bag_at_cached(&mut cursor.bags, u, pos) {
                     return true;
                 }
@@ -793,7 +633,7 @@ impl ReachIndex {
     pub fn num_attached_sets(&self) -> usize {
         match &self.inner {
             IndexInner::MultiBags(_) => 0,
-            IndexInner::MultiBagsPlus { nsp, .. } => nsp.num_attached_sets(),
+            IndexInner::MultiBagsPlus { nsp, .. } => nsp.r.graph.num_nodes(),
         }
     }
 
@@ -802,7 +642,10 @@ impl ReachIndex {
     pub fn closure_entries(&self) -> usize {
         match &self.inner {
             IndexInner::MultiBags(_) => 0,
-            IndexInner::MultiBagsPlus { nsp, .. } => nsp.r.closure_entries(),
+            IndexInner::MultiBagsPlus { nsp, .. } => (nsp.r.graph.rows().iter())
+                .flat_map(|row| &row.words)
+                .map(|w| w.count_ones() as usize)
+                .sum(),
         }
     }
 }
@@ -1116,11 +959,6 @@ impl IncrementalFreezer {
         if events.is_empty() {
             return;
         }
-        if let Some(nsp) = &mut self.freezer.nsp {
-            // A raw import defers the closure's adjacency lists (warm query
-            // paths never need them); new arcs do.
-            nsp.frozen.r.ensure_lists();
-        }
         let _span = futurerd_obs::Span::enter(futurerd_obs::names::FREEZE);
         futurerd_dag::trace::replay_events(events, &mut self.freezer);
     }
@@ -1238,7 +1076,11 @@ impl IncrementalFreezer {
                     })
                     .collect(),
                 live: nsp.live.clone(),
-                closure_rows: nsp.frozen.r.earliest_pred.clone(),
+                closure_rows: nsp.frozen.r.graph.rows().to_vec(),
+                first_arc: nsp.frozen.r.first.clone(),
+                late_bits: (nsp.frozen.r.late.iter())
+                    .map(|(&(row, bit), &pos)| (row, bit, pos))
+                    .collect(),
             }),
             accesses: self.freezer.accesses.clone(),
         }
@@ -1385,24 +1227,43 @@ impl IncrementalFreezer {
                 if rnsp.live.iter().any(|&s| s as usize >= n_sets) {
                     return err("DNSP live root out of range");
                 }
-                for (d, row) in rnsp.closure_rows.iter().enumerate() {
-                    if row.len() > nodes {
-                        return err("closure row longer than the node count");
+                if rnsp.first_arc.len() != nodes {
+                    return err("closure stamp table length mismatch");
+                }
+                let rows = &rnsp.closure_rows;
+                let unfrozen = "closure stamp at or past the frozen position";
+                for (b, (row, &first)) in rows.iter().zip(&rnsp.first_arc).enumerate() {
+                    if row.words.len() > nodes.div_ceil(64) {
+                        return err("closure row has more words than the node count needs");
                     }
-                    // A diagonal entry would put a cycle into the supposedly
-                    // acyclic R (and trip ensure_lists' debug assertion).
-                    if row.get(d).is_some_and(|&p| p != NEVER) {
+                    if (nodes..64 * row.words.len()).any(|bit| row.get(bit)) {
+                        return err("closure row holds a bit past the node count");
+                    }
+                    // A diagonal bit would put a cycle into the acyclic R.
+                    if row.get(b) {
                         return err("closure row contains a self-loop");
                     }
+                    if first != NEVER && first >= raw.pos {
+                        return err(unfrozen);
+                    }
                 }
-                // Adjacency lists are rebuilt lazily (ensure_lists) — a warm
-                // index load pays only for what queries touch.
-                let r = TimedClosure {
-                    earliest_pred: rnsp.closure_rows,
-                    pred_list: Vec::new(),
-                    succ_list: Vec::new(),
-                    entries: 0,
-                    lists_stale: true,
+                let mut late = BTreeMap::new();
+                for &(b, bit, p) in &rnsp.late_bits {
+                    if p >= raw.pos {
+                        return err(unfrozen);
+                    }
+                    if !rows
+                        .get(b as usize)
+                        .is_some_and(|row| row.get(bit as usize))
+                    {
+                        return err("late closure stamp for a bit its row lacks");
+                    }
+                    late.insert((b, bit), p);
+                }
+                let r = StampedR {
+                    graph: RGraph::from_rows(rnsp.closure_rows),
+                    first: rnsp.first_arc,
+                    late,
                 };
                 Some(NspBuilder {
                     frozen: FrozenNsp {
@@ -1484,8 +1345,8 @@ pub struct RawBagSet {
     pub merged_target: u32,
 }
 
-/// Raw form of the DNSP forest, its tag timelines, the timed closure rows
-/// and the live resume state (MultiBags+ only).
+/// Raw form of the DNSP forest, its tag timelines, the stamped closure of
+/// `R` and the live resume state (MultiBags+ only).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawNsp {
     /// Birth set per strand ([`RAW_NONE`] = not registered).
@@ -1494,10 +1355,14 @@ pub struct RawNsp {
     pub sets: Vec<RawNspSet>,
     /// Live disjoint-set shortcut per set (resume state).
     pub live: Vec<u32>,
-    /// The earliest-connection closure: `closure_rows[b][a]` is the earliest
-    /// position with a path `a → b` ([`RAW_NONE`] = unreachable). Adjacency
-    /// lists and entry counts are rebuilt on import.
-    pub closure_rows: Vec<Vec<u32>>,
+    /// The closure of `R`: bit `a` of `closure_rows[b]` is set iff a path
+    /// `a → b` exists.
+    pub closure_rows: Vec<DynBitSet>,
+    /// Position of each row's first arc ([`RAW_NONE`] = none yet).
+    pub first_arc: Vec<u32>,
+    /// `(row, bit, position)` for each bit a row gained after its first
+    /// arc, in `(row, bit)` order.
+    pub late_bits: Vec<(u32, u32, u32)>,
 }
 
 /// Raw form of one DNSP set's timeline.
@@ -1595,6 +1460,11 @@ mod tests {
         t
     }
 
+    /// One frozen query, on a fresh cursor.
+    fn precedes(index: &ReachIndex, u: u32, v: u32, pos: u32) -> bool {
+        index.precedes_at_cached(&mut index.cursor(), StrandId(u), StrandId(v), pos)
+    }
+
     /// Replays `trace` through the live reachability structure, recording at
     /// every access event the answer for every started strand, and asserts
     /// the frozen index reproduces each answer.
@@ -1606,12 +1476,13 @@ mod tests {
         let index = ReachIndex::freeze(trace, algorithm)
             .expect("valid trace")
             .expect("freezable algorithm");
+        let mut cursor = index.cursor();
         let mut started: Vec<StrandId> = Vec::new();
         for (pos, event) in trace.events().iter().enumerate() {
             if let TraceEvent::Read { strand, .. } | TraceEvent::Write { strand, .. } = event {
                 for &u in &started {
                     let expected = live.precedes_current(u);
-                    let got = index.precedes_at(u, *strand, pos as u32);
+                    let got = index.precedes_at_cached(&mut cursor, u, *strand, pos as u32);
                     assert_eq!(
                         expected, got,
                         "{algorithm}: precedes({u}, {strand}) at {pos}"
@@ -1675,18 +1546,9 @@ mod tests {
             let index = ReachIndex::freeze(&trace, algorithm)
                 .expect("valid")
                 .expect("freezable");
-            assert!(
-                !index.precedes_at(StrandId(1), StrandId(2), 7),
-                "{algorithm}"
-            );
-            assert!(
-                index.precedes_at(StrandId(1), StrandId(3), 10),
-                "{algorithm}"
-            );
-            assert!(
-                index.precedes_at(StrandId(0), StrandId(2), 7),
-                "{algorithm}"
-            );
+            assert!(!precedes(&index, 1, 2, 7), "{algorithm}");
+            assert!(precedes(&index, 1, 3, 10), "{algorithm}");
+            assert!(precedes(&index, 0, 2, 7), "{algorithm}");
         }
     }
 
@@ -1698,7 +1560,7 @@ mod tests {
             .expect("freezable");
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| assert!(index.precedes_at(StrandId(1), StrandId(3), 10)));
+                s.spawn(|| assert!(precedes(&index, 1, 3, 10)));
             }
         });
     }
@@ -1717,8 +1579,8 @@ mod tests {
                 let snap = inc.snapshot_index();
                 for &(u, v, pos) in &[(1u32, 2u32, 7u32), (1, 3, 10), (0, 2, 7), (0, 3, 10)] {
                     assert_eq!(
-                        snap.precedes_at(StrandId(u), StrandId(v), pos),
-                        full.precedes_at(StrandId(u), StrandId(v), pos),
+                        precedes(&snap, u, v, pos),
+                        precedes(&full, u, v, pos),
                         "{algorithm} cut {cut}: precedes(s{u}, s{v}) at {pos}"
                     );
                 }
@@ -1733,7 +1595,7 @@ mod tests {
         let answers = |index: &ReachIndex| -> Vec<bool> {
             queries
                 .iter()
-                .map(|&(u, v, pos)| index.precedes_at(StrandId(u), StrandId(v), pos))
+                .map(|&(u, v, pos)| precedes(index, u, v, pos))
                 .collect()
         };
         for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
@@ -1793,10 +1655,7 @@ mod tests {
             );
             // The re-imported freezer must answer queries identically...
             let (a, b) = (inc.snapshot_index(), back.snapshot_index());
-            assert_eq!(
-                a.precedes_at(StrandId(1), StrandId(3), 10),
-                b.precedes_at(StrandId(1), StrandId(3), 10)
-            );
+            assert_eq!(precedes(&a, 1, 3, 10), precedes(&b, 1, 3, 10));
             // ...and resume freezing: extending both with nothing keeps them
             // equal, and positions agree.
             assert_eq!(back.position(), inc.position());
@@ -1841,21 +1700,127 @@ mod tests {
             "access beyond frozen position"
         );
 
-        let mut bad = raw.clone();
-        if let Some(nsp) = bad.nsp.as_mut() {
-            // A diagonal closure entry = a self-loop in R.
-            if nsp.closure_rows[0].is_empty() {
-                nsp.closure_rows[0].push(7);
-            } else {
-                nsp.closure_rows[0][0] = 7;
-            }
-        }
-        assert!(
-            IncrementalFreezer::from_raw(bad).is_err(),
-            "closure self-loop"
-        );
+        // The closure of R: rows 1 and 2 hold node 0, row 3 holds 0, 1, 2.
+        let nsp = raw.nsp.as_ref().expect("MultiBags+");
+        let words: Vec<&[u64]> = nsp.closure_rows.iter().map(|r| &r.words[..]).collect();
+        assert_eq!(words, [&[][..], &[0b1], &[0b1], &[0b111]]);
+        let closure_rejects = |why: &str, corrupt: &dyn Fn(&mut RawNsp)| {
+            let mut bad = raw.clone();
+            corrupt(bad.nsp.as_mut().expect("MultiBags+"));
+            let err = IncrementalFreezer::from_raw(bad).expect_err(why);
+            assert!(err.0.contains(why), "expected {why:?}, got {err}");
+        };
+        closure_rejects("bit past the node count", &|nsp| nsp.closure_rows[3].set(4));
+        closure_rejects("self-loop", &|nsp| nsp.closure_rows[1].set(1));
+        closure_rejects("more words than the node count needs", &|nsp| {
+            nsp.closure_rows[1].words.push(0)
+        });
+        let pos = raw.pos;
+        closure_rejects("at or past the frozen position", &|nsp| {
+            nsp.first_arc[1] = pos
+        });
+        closure_rejects("at or past the frozen position", &|nsp| {
+            nsp.late_bits.push((3, 0, pos))
+        });
+        closure_rejects("bit its row lacks", &|nsp| nsp.late_bits.push((1, 2, 3)));
+        closure_rejects("stamp table length", &|nsp| {
+            nsp.first_arc.pop();
+        });
 
         assert!(IncrementalFreezer::from_raw(raw).is_ok(), "control");
+    }
+
+    /// A seeded xorshift generator.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn stamped_closure_matches_brute_force_earliest_connections() {
+        // Dags whose topological order is a shuffle of the node ids, with
+        // the arcs inserted in shuffled order, one to three per position and
+        // gaps between positions: arcs land on rows that already have bits
+        // and on nodes with successors, so rows gain bits after their first
+        // arc. The reference is a min–max Floyd–Warshall: a pair connects at
+        // the earliest position by which every arc of some path has arrived.
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for _ in 0..8 {
+            let n = 20 + (next() % 41) as usize;
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut arcs = Vec::new();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if next() % (n as u64) < 3 {
+                        arcs.push((order[i], order[j]));
+                    }
+                }
+            }
+            for i in (1..arcs.len()).rev() {
+                arcs.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut r = StampedR::default();
+            for _ in 0..n {
+                r.add_node();
+            }
+            let mut earliest = vec![vec![NEVER; n]; n];
+            let mut pos: Pos = 1;
+            let mut pending = arcs.iter();
+            while pending.len() > 0 {
+                for &(a, b) in pending.by_ref().take(1 + (next() % 3) as usize) {
+                    r.add_arc(a as u32, b as u32, pos);
+                    earliest[a][b] = pos;
+                }
+                pos += 1 + (next() % 2) as Pos;
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        let via = earliest[i][k].max(earliest[k][j]);
+                        earliest[i][j] = earliest[i][j].min(via);
+                    }
+                }
+            }
+            for t in 0..=pos {
+                for a in 0..n {
+                    for b in 0..n {
+                        assert_eq!(
+                            r.reaches_at(a as u32, b as u32, t),
+                            earliest[a][b] < t,
+                            "n={n}: {a} -> {b} before {t}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_closure_keeps_one_bit_per_pair_on_bst() {
+        use futurerd_workloads::{run_workload, FutureMode, WorkloadKind, WorkloadParams};
+        let freezer = Freezer::new(ReplayAlgorithm::MultiBagsPlus).expect("freezable");
+        let (freezer, _) = run_workload(
+            WorkloadKind::Bst,
+            FutureMode::General,
+            &WorkloadParams::tiny(),
+            freezer,
+        );
+        let r = freezer.nsp.expect("MultiBags+").frozen.r;
+        // A B-tree node is at least half full.
+        let late = 2 * r.late.len() * std::mem::size_of::<((u32, u32), Pos)>();
+        let bytes = r.graph.heap_bytes() + r.first.capacity() * std::mem::size_of::<Pos>() + late;
+        let sets = r.graph.num_nodes();
+        assert!(
+            8 * bytes <= sets * sets,
+            "{sets} attached sets, {bytes} closure bytes"
+        );
     }
 
     /// Spot-check the detector-level agreement on the canonical racy trace.

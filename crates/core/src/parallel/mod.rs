@@ -24,11 +24,11 @@
 //! 1. **Pass 1 — freeze** ([`ReachIndex::freeze`], [`IncrementalFreezer`]):
 //!    replay the trace once through the reachability algorithm only,
 //!    recording each bag's tag and merge *timeline* instead of its final
-//!    state, and — for MultiBags+ — the earliest-connection closure of the
-//!    attached-set dag `R`. The result answers `precedes(u, v)` *at any
-//!    trace position* read-only, with no interior mutability, so it is
-//!    shared by every worker. The same replay extracts the granule-level
-//!    access stream.
+//!    state, and — for MultiBags+ — the closure of the attached-set dag `R`
+//!    with each bit stamped by the position that set it. The result answers
+//!    `precedes(u, v)` *at any trace position* read-only, with no interior
+//!    mutability, so it is shared by every worker. The same replay extracts
+//!    the granule-level access stream.
 //! 2. **Pass 2 — shard** ([`ShadowPartition`]): split the granule space
 //!    into at most `P` contiguous ranges balanced by access count (one
 //!    counting pass, [`partition_ranges`]), and let each worker scan the

@@ -62,6 +62,25 @@ impl RGraph {
         self.arcs
     }
 
+    /// The graph whose closure is `rows` (row `b` holds the nodes that reach
+    /// `b`), with no arcs counted. A node has successors iff some row holds
+    /// its bit. The rows must be a closure, without a diagonal bit.
+    pub fn from_rows(pred: Vec<DynBitSet>) -> Self {
+        let mut reached = DynBitSet::new();
+        pred.iter().for_each(|row| reached.union_with(row));
+        let has_succ = (0..pred.len()).map(|i| reached.get(i)).collect();
+        Self {
+            pred,
+            has_succ,
+            arcs: 0,
+        }
+    }
+
+    /// The closure rows: row `b` holds the nodes with a path to `b`.
+    pub fn rows(&self) -> &[DynBitSet] {
+        &self.pred
+    }
+
     /// Adds a node with no arcs and returns its id.
     pub fn add_node(&mut self) -> RNodeId {
         let id = RNodeId(self.pred.len() as u32);
@@ -85,6 +104,18 @@ impl RGraph {
     /// Panics (in debug builds) if the arc would create a cycle; the
     /// execution order guarantees arcs always point forward in time.
     pub fn add_arc(&mut self, from: RNodeId, to: RNodeId) {
+        self.add_arc_with(from, to, |_, _| {});
+    }
+
+    /// [`add_arc`](Self::add_arc), calling `hook(rows, d)` just before row
+    /// `d` inherits row `from`, so that a caller can see what each row gains
+    /// ([`DynBitSet::for_each_gain`]). The freezer stamps positions this way.
+    pub fn add_arc_with(
+        &mut self,
+        from: RNodeId,
+        to: RNodeId,
+        mut hook: impl FnMut(&[DynBitSet], usize),
+    ) {
         debug_assert!(
             from != to && !self.reaches(to, from),
             "arc {from}->{to} would create a cycle in R"
@@ -94,10 +125,12 @@ impl RGraph {
             return;
         }
         let (from, to) = (from.index(), to.index());
+        hook(&self.pred, to);
         DynBitSet::inherit(&mut self.pred, from, to);
         if self.has_succ[to] {
             for d in 0..self.pred.len() {
                 if self.pred[d].get(to) {
+                    hook(&self.pred, d);
                     DynBitSet::inherit(&mut self.pred, from, d);
                 }
             }

@@ -358,6 +358,16 @@ impl Config {
     /// Runs `body` on the sequential depth-first eager executor under the
     /// configured observer and returns what was observed.
     ///
+    /// # Panics
+    ///
+    /// Panics under [`Algorithm::SpBags`], at every analysis level but
+    /// [`Analysis::Baseline`], when `body` creates a future: SP-Bags cannot
+    /// detect races in programs with futures, and the run meets the future
+    /// only as `body` creates it, with no way to return an error. For a typed
+    /// error instead, [`record`]
+    /// the program and [`replay`](Config::replay) its trace, which returns
+    /// [`Error::Unsupported`] for that combination.
+    ///
     /// # Example
     ///
     /// ```

@@ -13,13 +13,16 @@
 //!   frozen_pos     varint              events frozen
 //!   trace_hash     u64 LE              hash of the frozen event prefix
 //!   bags           merge forest + live resume state
-//!   nsp            flag + DNSP forest + closure rows (multibags+ only)
+//!   nsp            flag + DNSP forest + stamped closure of R (multibags+ only):
+//!                    per row its u64 LE bit words and the position of its
+//!                    first arc, then (row, bit, position) for each bit a row
+//!                    gained after its first arc
 //!   accesses       16-byte granule access records
 //!   outcomes       flag + cached partition results
 //! ```
 //!
 //! Scalars, counts and the small per-set records are LEB128 varints; the
-//! *bulk* arrays — strand/set tables, the timed-closure rows and the granule
+//! *bulk* arrays — strand/set tables, the closure's bit rows and the granule
 //! access stream — are raw little-endian words, because a warm load must be
 //! strictly cheaper than refreezing and fixed-width rows decode at memcpy
 //! speed where per-element varints do not. The checksum ([`hash64`], an
@@ -31,6 +34,7 @@
 //! checksum collision).
 
 use crate::StoreError;
+use futurerd_core::bitset::DynBitSet;
 use futurerd_core::parallel::{
     GranuleAccess, PartitionOutcome, RawBagSet, RawBags, RawFreeze, RawNsp, RawNspSet, RAW_NONE,
 };
@@ -42,10 +46,12 @@ use futurerd_dag::{MemAddr, StrandId};
 /// Magic bytes identifying an `FRDIDX` sidecar file.
 pub const INDEX_MAGIC: [u8; 8] = *b"FRDIDX\0\0";
 /// Current sidecar format version. Version 2 added the per-partition
-/// access-history counters ([`DetectorStats`]) to cached outcomes; v1
-/// sidecars are rejected as [`StoreError::UnsupportedVersion`], which the
-/// store treats as a routine invalidation (refreeze cold, rewrite).
-pub const INDEX_VERSION: u32 = 2;
+/// access-history counters ([`DetectorStats`]) to cached outcomes; version 3
+/// replaced the closure's dense 32-bit position per pair with bit rows and
+/// per-row stamps. Older sidecars are rejected as
+/// [`StoreError::UnsupportedVersion`], which the store treats as a routine
+/// invalidation (refreeze cold, rewrite).
+pub const INDEX_VERSION: u32 = 3;
 
 /// The sidecar checksum, shared with the `FRDTRACE` v4 payload: FNV-style
 /// multiply-xor folded over 8-byte little-endian words (plus a
@@ -104,11 +110,10 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    fn u64_le(&mut self) -> Result<u64, StoreError> {
-        let end = self.at.checked_add(8).ok_or(StoreError::Truncated)?;
-        let bytes = self.bytes.get(self.at..end).ok_or(StoreError::Truncated)?;
-        self.at = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+    /// Takes the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let bytes = self.raw(N)?;
+        bytes.first_chunk().copied().ok_or(StoreError::Truncated)
     }
 
     fn varint(&mut self) -> Result<u64, StoreError> {
@@ -176,24 +181,24 @@ fn get_opt(r: &mut Reader<'_>) -> Result<u32, StoreError> {
     u32::try_from(v - 1).map_err(|_| StoreError::FieldOverflow)
 }
 
-/// Bulk `u32` arrays (strand/set tables, closure rows) are raw little-endian
+/// Bulk arrays (strand/set tables, closure rows) are raw little-endian
 /// words: a varint-per-element decode of a multi-megabyte closure costs more
 /// than the freeze it is supposed to replace; fixed-width rows decode at
 /// memcpy speed. [`RAW_NONE`] is `u32::MAX` and needs no translation.
-fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
+fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], le: impl Fn(T) -> [u8; N]) {
     put_varint(out, values.len() as u64);
     for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+        out.extend_from_slice(&le(v));
     }
 }
 
-fn get_u32_vec(r: &mut Reader<'_>) -> Result<Vec<u32>, StoreError> {
-    let n = r.count(4)?;
-    let bytes = r.raw(n * 4)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect())
+fn get_words<T, const N: usize>(
+    r: &mut Reader<'_>,
+    le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, StoreError> {
+    let n = r.count(N)?;
+    let (words, _) = r.raw(n * N)?.as_chunks();
+    Ok(words.iter().map(|&w| le(w)).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +209,7 @@ fn algorithm_tag(algorithm: ReplayAlgorithm) -> u8 {
     match algorithm {
         ReplayAlgorithm::MultiBags => 0,
         ReplayAlgorithm::MultiBagsPlus => 1,
-        // Only freezable algorithms have a frozen form
+        // INVARIANT: only freezable algorithms have a frozen form
         // (`IncrementalFreezer::new` refuses the rest).
         _ => unreachable!("only freezable algorithms are persisted"),
     }
@@ -236,39 +241,40 @@ fn access_kind_from_tag(tag: u8) -> Result<AccessKind, StoreError> {
 }
 
 fn put_bags(out: &mut Vec<u8>, bags: &RawBags) {
-    put_u32_slice(out, &bags.set_of_strand);
+    put_words(out, &bags.set_of_strand, u32::to_le_bytes);
     put_varint(out, bags.sets.len() as u64);
     for set in &bags.sets {
         out.extend_from_slice(&set.relabel.to_le_bytes());
         out.extend_from_slice(&set.merged_pos.to_le_bytes());
         out.extend_from_slice(&set.merged_target.to_le_bytes());
     }
-    put_u32_slice(out, &bags.live);
-    put_u32_slice(out, &bags.first_strand);
+    put_words(out, &bags.live, u32::to_le_bytes);
+    put_words(out, &bags.first_strand, u32::to_le_bytes);
 }
 
 fn get_bags(r: &mut Reader<'_>) -> Result<RawBags, StoreError> {
-    let set_of_strand = get_u32_vec(r)?;
+    let set_of_strand = get_words(r, u32::from_le_bytes)?;
     let n = r.count(12)?;
-    let bytes = r.raw(n * 12)?;
-    let sets = bytes
-        .chunks_exact(12)
-        .map(|c| RawBagSet {
-            relabel: u32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-            merged_pos: u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-            merged_target: u32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
+    let (words, _) = r.raw(n * 12)?.as_chunks::<4>();
+    let (records, _) = words.as_chunks::<3>();
+    let sets = records
+        .iter()
+        .map(|&[relabel, merged_pos, merged_target]| RawBagSet {
+            relabel: u32::from_le_bytes(relabel),
+            merged_pos: u32::from_le_bytes(merged_pos),
+            merged_target: u32::from_le_bytes(merged_target),
         })
         .collect();
     Ok(RawBags {
         set_of_strand,
         sets,
-        live: get_u32_vec(r)?,
-        first_strand: get_u32_vec(r)?,
+        live: get_words(r, u32::from_le_bytes)?,
+        first_strand: get_words(r, u32::from_le_bytes)?,
     })
 }
 
 fn put_nsp(out: &mut Vec<u8>, nsp: &RawNsp) {
-    put_u32_slice(out, &nsp.set_of_strand);
+    put_words(out, &nsp.set_of_strand, u32::to_le_bytes);
     put_varint(out, nsp.sets.len() as u64);
     for set in &nsp.sets {
         out.push(u8::from(set.birth_attached));
@@ -283,15 +289,22 @@ fn put_nsp(out: &mut Vec<u8>, nsp: &RawNsp) {
         put_opt(out, set.merged_pos);
         put_varint(out, set.merged_target.into());
     }
-    put_u32_slice(out, &nsp.live);
+    put_words(out, &nsp.live, u32::to_le_bytes);
     put_varint(out, nsp.closure_rows.len() as u64);
-    for row in &nsp.closure_rows {
-        put_u32_slice(out, row);
+    for (row, &first) in nsp.closure_rows.iter().zip(&nsp.first_arc) {
+        put_words(out, &row.words, u64::to_le_bytes);
+        put_opt(out, first);
+    }
+    put_varint(out, nsp.late_bits.len() as u64);
+    for &(row, bit, pos) in &nsp.late_bits {
+        put_varint(out, row.into());
+        put_varint(out, bit.into());
+        put_varint(out, pos.into());
     }
 }
 
 fn get_nsp(r: &mut Reader<'_>) -> Result<RawNsp, StoreError> {
-    let set_of_strand = get_u32_vec(r)?;
+    let set_of_strand = get_words(r, u32::from_le_bytes)?;
     let n = r.count(6)?;
     let mut sets = Vec::with_capacity(n);
     for _ in 0..n {
@@ -322,17 +335,28 @@ fn get_nsp(r: &mut Reader<'_>) -> Result<RawNsp, StoreError> {
             merged_target: r.u32v()?,
         });
     }
-    let live = get_u32_vec(r)?;
-    let n_rows = r.count(1)?;
+    let live = get_words(r, u32::from_le_bytes)?;
+    let n_rows = r.count(2)?;
     let mut closure_rows = Vec::with_capacity(n_rows);
+    let mut first_arc = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
-        closure_rows.push(get_u32_vec(r)?);
+        closure_rows.push(DynBitSet {
+            words: get_words(r, u64::from_le_bytes)?,
+        });
+        first_arc.push(get_opt(r)?);
+    }
+    let n_late = r.count(3)?;
+    let mut late_bits = Vec::with_capacity(n_late);
+    for _ in 0..n_late {
+        late_bits.push((r.u32v()?, r.u32v()?, r.u32v()?));
     }
     Ok(RawNsp {
         set_of_strand,
         sets,
         live,
         closure_rows,
+        first_arc,
+        late_bits,
     })
 }
 
@@ -353,15 +377,18 @@ fn put_accesses(out: &mut Vec<u8>, accesses: &[GranuleAccess]) {
 
 fn get_accesses(r: &mut Reader<'_>) -> Result<Vec<GranuleAccess>, StoreError> {
     let n = r.count(16)?;
-    let bytes = r.raw(n * 16)?;
-    Ok(bytes
-        .chunks_exact(16)
-        .map(|c| {
-            let packed = u64::from_le_bytes(c[0..8].try_into().expect("8 bytes"));
+    let (words, _) = r.raw(n * 16)?.as_chunks::<8>();
+    let (records, _) = words.as_chunks::<2>();
+    Ok(records
+        .iter()
+        .map(|&[packed, pos_strand]| {
+            let packed = u64::from_le_bytes(packed);
+            // The position is the low half of the second word.
+            let pos_strand = u64::from_le_bytes(pos_strand);
             GranuleAccess {
                 granule: packed & !(1 << 63),
-                pos: u32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-                strand: StrandId(u32::from_le_bytes(c[12..16].try_into().expect("4 bytes"))),
+                pos: pos_strand as u32,
+                strand: StrandId((pos_strand >> 32) as u32),
                 is_write: packed >> 63 == 1,
             }
         })
@@ -483,11 +510,10 @@ fn encoded_bound(sidecar: &Sidecar) -> usize {
             .map(|set| 1 + 5 * MAX_U32V + MAX_U64V + 2 * MAX_U32V * set.att_succ.len())
             .sum::<usize>();
         bound += u32_slice(nsp.live.len()) + MAX_U64V;
-        bound += nsp
-            .closure_rows
-            .iter()
-            .map(|row| u32_slice(row.len()))
+        bound += (nsp.closure_rows.iter())
+            .map(|row| MAX_U64V + 8 * row.words.len() + MAX_U32V)
             .sum::<usize>();
+        bound += MAX_U64V + 3 * MAX_U32V * nsp.late_bits.len();
     }
     bound += MAX_U64V + 16 * freeze.accesses.len();
     bound += 1;
@@ -539,21 +565,16 @@ pub fn encode_sidecar(sidecar: &Sidecar) -> Vec<u8> {
 /// Deserializes a sidecar, verifying the header checksum **before** decoding
 /// the payload. Every failure is a typed [`StoreError`].
 pub fn decode_sidecar(bytes: &[u8]) -> Result<Sidecar, StoreError> {
-    if bytes.len() < 20 {
-        if bytes.len() >= 8 && bytes[..8] != INDEX_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        return Err(StoreError::Truncated);
-    }
-    if bytes[..8] != INDEX_MAGIC {
+    let mut header = Reader::new(bytes);
+    if header.array::<8>().is_ok_and(|magic| magic != INDEX_MAGIC) {
         return Err(StoreError::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(header.array()?);
     if version != INDEX_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
-    let expected = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let payload = &bytes[20..];
+    let expected = u64::from_le_bytes(header.array()?);
+    let payload = bytes.get(HEADER_LEN..).ok_or(StoreError::Truncated)?;
     let found = hash64(payload);
     if found != expected {
         return Err(StoreError::Checksum { expected, found });
@@ -562,7 +583,7 @@ pub fn decode_sidecar(bytes: &[u8]) -> Result<Sidecar, StoreError> {
     let mut r = Reader::new(payload);
     let algorithm = algorithm_from_tag(r.u8()?)?;
     let pos = r.u32v()?;
-    let trace_hash = r.u64_le()?;
+    let trace_hash = u64::from_le_bytes(r.array()?);
     let bags = get_bags(&mut r)?;
     let nsp = match r.u8()? {
         0 => None,
@@ -761,12 +782,15 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(decode_sidecar(&bad), Err(StoreError::BadMagic)));
 
-        let mut bad = bytes.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            decode_sidecar(&bad),
-            Err(StoreError::UnsupportedVersion(99))
-        ));
+        // Version 2 kept a 32-bit position per closure pair.
+        for version in [2, 99] {
+            let mut bad = bytes.clone();
+            bad[8] = version;
+            assert!(matches!(
+                decode_sidecar(&bad),
+                Err(StoreError::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+        }
 
         let mut bad = bytes.clone();
         let last = bad.len() - 1;

@@ -3,7 +3,7 @@
 //! corrupted on-disk state — returns a typed [`futurerd::Error`] (or a
 //! sensible empty verdict), and never panics.
 
-use futurerd::{record, Algorithm, Config, Cx, Error, Store, Trace, TraceError};
+use futurerd::{record, Algorithm, Analysis, Config, Cx, Error, Store, Trace, TraceError};
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::trace::TraceEvent;
 use futurerd_dag::{FunctionId, StrandId};
@@ -105,6 +105,36 @@ fn spbags_on_futures_via_sessions_is_unsupported() {
     session.ingest(futures.trace.events()).unwrap();
     let detection = session.report().unwrap();
     assert!(detection.report().is_approximate());
+}
+
+#[test]
+fn spbags_run_panics_on_futures_where_replay_is_unsupported() {
+    let body = |cx: &mut Cx| {
+        let f = cx.create_future(|_| 1u32);
+        cx.get_future(f)
+    };
+    for analysis in [
+        Analysis::Reachability,
+        Analysis::Instrumentation,
+        Analysis::Full,
+    ] {
+        let config = Config::new()
+            .algorithm(Algorithm::SpBags)
+            .analysis(analysis);
+        let run = std::panic::catch_unwind(|| config.run(body));
+        assert!(
+            run.is_err(),
+            "{analysis:?}: run must panic, as its docs say"
+        );
+        let err = config
+            .replay(&record(body).trace)
+            .expect_err("SP-Bags cannot replay futures");
+        assert!(err.is_unsupported(), "{analysis:?}: {err}");
+    }
+    let baseline = Config::new()
+        .algorithm(Algorithm::SpBags)
+        .analysis(Analysis::Baseline);
+    assert_eq!(baseline.run(body).value, 1, "no detection state, no panic");
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! sidecar invalidation, and batch runs (`futurerd::run_batch`) — against
 //! real recorded programs and hand-built prefixes.
 
+use futurerd::store::{decode_sidecar, encode_sidecar};
 use futurerd::{
     Algorithm, BatchJob, Config, DetectionPath, FunctionId, MemAddr, ShadowArray, ShadowCell,
     Store, StoreError, StrandId, Trace, TraceEvent,
@@ -399,6 +400,42 @@ fn corrupt_sidecars_invalidate_to_cold() {
     assert_eq!(again.path, Some(DetectionPath::Cold));
     assert_eq!(again.report(), first.report());
     assert_eq!(store.stats().invalidated_sidecars, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn hostile_closure_sidecars_load_cold() {
+    // A sidecar whose closure of R is corrupt, re-encoded so its checksum
+    // holds: the import rejects it and the session goes cold.
+    let dir = temp_dir("hostile-closure");
+    let mut store = Store::open(&dir).expect("store opens");
+    store
+        .put_trace("t", &futurerd::record(racy_program).trace)
+        .expect("stores");
+    let config = Config::new().algorithm(Algorithm::MultiBagsPlus);
+    let first = (config.open_session(&mut store, "t").expect("opens"))
+        .report()
+        .expect("cold");
+    let path = store.sidecar_path("t", ReplayAlgorithm::MultiBagsPlus);
+    let bytes = std::fs::read(&path).expect("the report persisted a sidecar");
+    let mut sidecar = decode_sidecar(&bytes).expect("decodes");
+    let rows = &mut sidecar
+        .freeze
+        .nsp
+        .as_mut()
+        .expect("MultiBags+")
+        .closure_rows;
+    let b = rows.len() - 1;
+    rows[b].set(b); // a diagonal bit: R would have a cycle
+    std::fs::write(&path, encode_sidecar(&sidecar)).expect("rewrites");
+    let invalidated = store.stats().invalidated_sidecars;
+
+    let again = (config.open_session(&mut store, "t").expect("opens"))
+        .report()
+        .expect("re-detects");
+    assert_eq!(again.path, Some(DetectionPath::Cold));
+    assert_eq!(again.report(), first.report());
+    assert_eq!(store.stats().invalidated_sidecars, invalidated + 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
