@@ -29,9 +29,9 @@
 //!   the position of the arc that set it: arcs arrive in trace order, so
 //!   that is the earliest position at which any path connects the pair.
 //!   `reaches(a, b)` *at position t* reads bit `a` of row `b`, then `b`'s
-//!   stamps: the position of the row's first arc, and a short list of the
-//!   bits it gained later — the "attached-bag closure bits" of the frozen
-//!   index.
+//!   stamps: the position of the row's first arc, and the positions of the
+//!   few bits it gained later — the "attached-bag closure bits" of the
+//!   frozen index.
 //!
 //! All query paths are `&self` with no interior mutability, so one
 //! [`ReachIndex`] is shared by every detection worker.
@@ -1730,16 +1730,6 @@ mod tests {
         assert!(IncrementalFreezer::from_raw(raw).is_ok(), "control");
     }
 
-    /// A seeded xorshift generator.
-    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        }
-    }
-
     #[test]
     fn stamped_closure_matches_brute_force_earliest_connections() {
         // Dags whose topological order is a shuffle of the node ids, with
@@ -1748,7 +1738,13 @@ mod tests {
         // and on nodes with successors, so rows gain bits after their first
         // arc. The reference is a min–max Floyd–Warshall: a pair connects at
         // the earliest position by which every arc of some path has arrived.
-        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
         for _ in 0..8 {
             let n = 20 + (next() % 41) as usize;
             let mut order: Vec<usize> = (0..n).collect();
