@@ -364,9 +364,8 @@ impl Config {
     /// [`Analysis::Baseline`], when `body` creates a future: SP-Bags cannot
     /// detect races in programs with futures, and the run meets the future
     /// only as `body` creates it, with no way to return an error. For a typed
-    /// error instead, [`record`]
-    /// the program and [`replay`](Config::replay) its trace, which returns
-    /// [`Error::Unsupported`] for that combination.
+    /// error instead, [`record`] the program and [`replay`](Config::replay)
+    /// its trace, which returns [`Error::Unsupported`] for that combination.
     ///
     /// # Example
     ///

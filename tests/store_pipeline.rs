@@ -413,7 +413,9 @@ fn hostile_closure_sidecars_load_cold() {
         .put_trace("t", &futurerd::record(racy_program).trace)
         .expect("stores");
     let config = Config::new().algorithm(Algorithm::MultiBagsPlus);
-    let first = (config.open_session(&mut store, "t").expect("opens"))
+    let first = config
+        .open_session(&mut store, "t")
+        .expect("opens")
         .report()
         .expect("cold");
     let path = store.sidecar_path("t", ReplayAlgorithm::MultiBagsPlus);
@@ -430,7 +432,9 @@ fn hostile_closure_sidecars_load_cold() {
     std::fs::write(&path, encode_sidecar(&sidecar)).expect("rewrites");
     let invalidated = store.stats().invalidated_sidecars;
 
-    let again = (config.open_session(&mut store, "t").expect("opens"))
+    let again = config
+        .open_session(&mut store, "t")
+        .expect("opens")
         .report()
         .expect("re-detects");
     assert_eq!(again.path, Some(DetectionPath::Cold));
