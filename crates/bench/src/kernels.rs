@@ -562,8 +562,9 @@ struct Stored {
 }
 
 /// Detection-store economics on the big traces: `freeze` (cold pass 1),
-/// `warm_load` (decode the sidecar, rebuild the freezer, snapshot the
-/// index; must stay cheaper than `freeze`), `warm_detect` (a warm
+/// `warm_load` (decode the sidecar, rebuild the freezer and its access
+/// stream from the trace, snapshot the index; must stay cheaper than
+/// `freeze`), `warm_detect` (a warm
 /// `Config::replay_stored` round trip) and `incremental` (a stored replay
 /// after ~5% of the trace was appended: suffix refreeze, touched-partition
 /// re-runs and the sidecar rewrite).
@@ -606,7 +607,8 @@ fn fig_store(cells: &mut Cells) {
         .row("warm_load", |s, m| {
             m.iter(|| {
                 let sidecar = decode_sidecar(&s.sidecar).expect("valid sidecar");
-                let fz = IncrementalFreezer::from_raw(sidecar.freeze).expect("valid state");
+                let prefix = &s.trace.events()[..sidecar.freeze.pos as usize];
+                let fz = IncrementalFreezer::from_raw(sidecar.freeze, prefix).expect("valid state");
                 let index = fz.snapshot_index();
                 (fz.accesses().len(), index.num_attached_sets())
             })

@@ -186,10 +186,13 @@ impl LintConfig {
                 // every query of the detector runs through them.
                 "crates/core/src/reachability/",
                 "crates/core/src/bitset.rs",
-                // The frozen index and its sidecar codec: sidecar bytes
-                // reach both.
+                // The frozen index, its sidecar codec, the store that binds
+                // a sidecar to its trace and the session that resumes from
+                // it: sidecar and trace bytes reach all four.
                 "crates/core/src/parallel/freeze.rs",
                 "crates/store/src/codec.rs",
+                "crates/store/src/lib.rs",
+                "crates/futurerd/src/session.rs",
             ]),
         }
     }

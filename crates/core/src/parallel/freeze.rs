@@ -41,7 +41,7 @@ use crate::bitset::DynBitSet;
 use crate::reachability::{RGraph, RNodeId};
 use crate::replay::ReplayAlgorithm;
 use futurerd_dag::events::{CreateFutureEvent, GetFutureEvent, SpawnEvent, SyncEvent};
-use futurerd_dag::trace::Trace;
+use futurerd_dag::trace::{Trace, TraceEvent};
 use futurerd_dag::{FunctionId, MemAddr, Observer, StrandId};
 use std::collections::BTreeMap;
 
@@ -186,9 +186,9 @@ impl BagsBuilder {
 
     fn set_of_function(&mut self, function: FunctionId) -> u32 {
         // INVARIANT: a validated stream starts a function's first strand
-        // before a `Return`, `Sync` or `GetFuture` names the function, and a
-        // resumed freezer's table was exported by a freeze of the same prefix
-        // (the sidecar's trace hash binds the two).
+        // before a `Return`, `Sync` or `GetFuture` names the function, and
+        // `IncrementalFreezer::from_raw` rejects a resumed table unless it
+        // names each function's first `StrandStart` in the prefix it froze.
         let member = self
             .first_strand
             .get(function.index())
@@ -656,8 +656,10 @@ impl ReachIndex {
 
 /// One granule-level access extracted during the freezing replay: pass 2
 /// shards these by granule range, so workers touch only their own slice.
-/// Public so that a persisted index (`futurerd-store`'s `FRDIDX` sidecars)
-/// can carry the access stream next to the frozen timelines.
+/// Public because the pass-2 entry points
+/// ([`partition_ranges`](super::partition_ranges),
+/// [`detect_frozen_outcomes`](super::detect_frozen_outcomes), …) take the
+/// stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GranuleAccess {
     /// The granule index ([`MemAddr::granule`]).
@@ -695,6 +697,10 @@ impl Freezer {
         })
     }
 
+    /// Splits one access into granule records at the current position: the
+    /// observer calls it for each access it replays, and
+    /// [`IncrementalFreezer::from_raw`] for each access of the prefix it
+    /// resumes from.
     fn push_access(&mut self, strand: StrandId, addr: MemAddr, size: usize, is_write: bool) {
         let pos = self.pos;
         for granule in addr.granules(size) {
@@ -902,8 +908,9 @@ pub const RAW_NONE: u32 = u32::MAX;
 /// partitions whose granules the suffix touched.
 ///
 /// The complete freezer state (frozen timelines *and* the live resume state:
-/// disjoint-set shortcuts, per-function first strands) converts to and from
-/// the plain-data [`RawFreeze`] for persistence.
+/// disjoint-set shortcuts, per-function first strands) converts to the
+/// plain-data [`RawFreeze`] for persistence, and back given the event prefix
+/// it froze, which also yields the access stream.
 #[derive(Debug, Clone)]
 pub struct IncrementalFreezer {
     algorithm: ReplayAlgorithm,
@@ -951,7 +958,7 @@ impl IncrementalFreezer {
     /// responsible for validating the full stream (e.g. with
     /// `Trace::validate_prefix`) and for passing events in order without
     /// gaps.
-    pub fn extend(&mut self, events: &[futurerd_dag::trace::TraceEvent]) {
+    pub fn extend(&mut self, events: &[TraceEvent]) {
         assert!(
             self.freezer.pos as usize + events.len() < u32::MAX as usize,
             "trace positions are 32-bit; the extended stream is too large"
@@ -966,11 +973,7 @@ impl IncrementalFreezer {
     /// [`extend`](Self::extend), for perfbench's traced run only (see
     /// [`FreezeAssist`]).
     #[doc(hidden)]
-    pub fn extend_assisted(
-        &mut self,
-        events: &[futurerd_dag::trace::TraceEvent],
-        _assist: &FreezeAssist,
-    ) {
+    pub fn extend_assisted(&mut self, events: &[TraceEvent], _assist: &FreezeAssist) {
         self.extend(events);
     }
 
@@ -1082,16 +1085,23 @@ impl IncrementalFreezer {
                     .map(|(&(row, bit), &pos)| (row, bit, pos))
                     .collect(),
             }),
-            accesses: self.freezer.accesses.clone(),
         }
     }
 
-    /// Reconstructs a freezer from its raw form, validating structural
-    /// integrity (index bounds, merge-chain monotonicity — which also rules
-    /// out merge cycles — and algorithm/shape agreement). Corrupt input
+    /// Reconstructs a freezer from its raw form and `prefix`, the events it
+    /// froze (`raw.pos` of them; a store binds the two by the sidecar's
+    /// trace hash). Validates structural integrity (index bounds,
+    /// merge-chain monotonicity — which also rules out merge cycles — and
+    /// algorithm/shape agreement), then rebuilds the granule access stream
+    /// with one scan of the prefix, through the splitter the live freezer
+    /// uses, and checks in the same scan that the per-function first-strand
+    /// table names each function's first `StrandStart`. Corrupt input
     /// yields a typed error, never a panic or a query that loops.
-    pub fn from_raw(raw: RawFreeze) -> Result<Self, RawIndexError> {
+    pub fn from_raw(raw: RawFreeze, prefix: &[TraceEvent]) -> Result<Self, RawIndexError> {
         let err = |message: &str| Err(RawIndexError(message.to_string()));
+        if prefix.len() != raw.pos as usize {
+            return err("prefix length differs from the frozen position");
+        }
         let nsp_expected = match raw.algorithm {
             ReplayAlgorithm::MultiBags => false,
             ReplayAlgorithm::MultiBagsPlus => true,
@@ -1276,17 +1286,43 @@ impl IncrementalFreezer {
             }
         };
 
-        if raw.accesses.iter().any(|a| a.pos >= raw.pos) {
-            return err("access stream position beyond the frozen position");
+        let mut freezer = Freezer {
+            pos: 0,
+            bags,
+            nsp,
+            accesses: Vec::new(),
+        };
+        // The first-strand table as the live `strand_start` builds it,
+        // never longer than the one under test.
+        let mut first_strand: Vec<Option<StrandId>> = Vec::new();
+        for event in prefix {
+            match *event {
+                TraceEvent::Read { strand, addr, size } => {
+                    freezer.push_access(strand, addr, size as usize, false)
+                }
+                TraceEvent::Write { strand, addr, size } => {
+                    freezer.push_access(strand, addr, size as usize, true)
+                }
+                TraceEvent::StrandStart { strand, function } => {
+                    let f = function.index();
+                    if f >= freezer.bags.first_strand.len() {
+                        return err("function first-strand table disagrees with the prefix");
+                    }
+                    if first_strand.len() <= f {
+                        first_strand.resize(f + 1, None);
+                    }
+                    first_strand[f].get_or_insert(strand);
+                }
+                _ => {}
+            }
+            freezer.pos += 1;
+        }
+        if first_strand != freezer.bags.first_strand {
+            return err("function first-strand table disagrees with the prefix");
         }
         Ok(Self {
             algorithm: raw.algorithm,
-            freezer: Freezer {
-                pos: raw.pos,
-                bags,
-                nsp,
-                accesses: raw.accesses,
-            },
+            freezer,
         })
     }
 }
@@ -1304,8 +1340,10 @@ impl std::fmt::Display for RawIndexError {
 impl std::error::Error for RawIndexError {}
 
 /// Plain-data export of an [`IncrementalFreezer`] — everything a persistent
-/// store needs to rebuild the frozen index *and* resume freezing after an
-/// append. Field sentinels use [`RAW_NONE`].
+/// store needs, next to the frozen event prefix, to rebuild the frozen index
+/// *and* resume freezing after an append. The granule access stream is not
+/// part of it: [`IncrementalFreezer::from_raw`] rebuilds it from the prefix,
+/// which holds every access already. Field sentinels use [`RAW_NONE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFreeze {
     /// The frozen algorithm (must be freezable).
@@ -1316,8 +1354,6 @@ pub struct RawFreeze {
     pub bags: RawBags,
     /// The DNSP forest + timed closure (MultiBags+ only).
     pub nsp: Option<RawNsp>,
-    /// The granule-level access stream, in trace order.
-    pub accesses: Vec<GranuleAccess>,
 }
 
 /// Raw form of the bag merge forest plus its live resume state.
@@ -1391,7 +1427,6 @@ mod tests {
     use super::*;
     use crate::detector::RaceDetector;
     use crate::reachability::{MultiBags, MultiBagsPlus, Reachability};
-    use futurerd_dag::trace::TraceEvent;
 
     /// root creates a future, continues in parallel, then gets it.
     fn future_trace() -> Trace {
@@ -1611,13 +1646,14 @@ mod tests {
             for cut in [trace.len() / 2, trace.len()] {
                 let mut inc = IncrementalFreezer::new(algorithm).expect("freezable");
                 inc.extend(&trace.events()[..cut]);
-                let before = inc.to_raw();
+                let before = (inc.to_raw(), inc.accesses().to_vec());
                 inc.with_index(|index, accesses| {
                     assert_eq!(index.algorithm(), algorithm);
-                    assert_eq!(accesses, &before.accesses[..]);
+                    assert_eq!(accesses, &before.1[..]);
                 });
+                let state = |inc: &IncrementalFreezer| (inc.to_raw(), inc.accesses().to_vec());
                 assert_eq!(
-                    inc.to_raw(),
+                    state(&inc),
                     before,
                     "{algorithm} cut {cut}: state came back"
                 );
@@ -1627,11 +1663,11 @@ mod tests {
                     inc.with_index(|_, _| panic!("report failed"))
                 }));
                 assert!(caught.is_err());
-                assert_eq!(inc.to_raw(), before, "{algorithm} cut {cut}: after unwind");
+                assert_eq!(state(&inc), before, "{algorithm} cut {cut}: after unwind");
 
                 // The freezer extends on as if the loan never happened.
                 inc.extend(&trace.events()[cut..]);
-                assert_eq!(inc.to_raw(), full.to_raw(), "{algorithm} cut {cut}");
+                assert_eq!(state(&inc), state(&full), "{algorithm} cut {cut}");
             }
         }
     }
@@ -1643,62 +1679,74 @@ mod tests {
     #[test]
     fn raw_export_round_trips_the_freezer_state() {
         let trace = future_trace();
+        let events = trace.events();
         for algorithm in [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus] {
-            let mut inc = IncrementalFreezer::new(algorithm).expect("freezable");
-            inc.extend(trace.events());
-            let raw = inc.to_raw();
-            let back = IncrementalFreezer::from_raw(raw.clone()).expect("valid raw state");
-            assert_eq!(
-                back.to_raw(),
-                raw,
-                "{algorithm}: re-export must be identical"
-            );
-            // The re-imported freezer must answer queries identically...
-            let (a, b) = (inc.snapshot_index(), back.snapshot_index());
-            assert_eq!(precedes(&a, 1, 3, 10), precedes(&b, 1, 3, 10));
-            // ...and resume freezing: extending both with nothing keeps them
-            // equal, and positions agree.
-            assert_eq!(back.position(), inc.position());
+            let mut full = IncrementalFreezer::new(algorithm).expect("freezable");
+            full.extend(events);
+            for cut in 0..=events.len() {
+                let mut inc = IncrementalFreezer::new(algorithm).expect("freezable");
+                inc.extend(&events[..cut]);
+                let raw = inc.to_raw();
+                let mut back = IncrementalFreezer::from_raw(raw.clone(), &events[..cut])
+                    .expect("valid raw state");
+                assert_eq!(back.to_raw(), raw, "{algorithm} cut {cut}: re-export");
+                assert_eq!(back.accesses(), inc.accesses(), "{algorithm} cut {cut}");
+                assert_eq!(back.position(), inc.position());
+                // The re-imported freezer resumes as if it never stopped.
+                back.extend(&events[cut..]);
+                assert_eq!(back.to_raw(), full.to_raw(), "{algorithm} cut {cut}");
+                assert_eq!(back.accesses(), full.accesses(), "{algorithm} cut {cut}");
+                let (a, b) = (full.snapshot_index(), back.snapshot_index());
+                assert_eq!(precedes(&a, 1, 3, 10), precedes(&b, 1, 3, 10));
+            }
         }
     }
 
     #[test]
     fn from_raw_rejects_corrupt_state() {
         let trace = future_trace();
+        let events = trace.events();
         let mut inc = IncrementalFreezer::new(ReplayAlgorithm::MultiBagsPlus).expect("freezable");
-        inc.extend(trace.events());
+        inc.extend(events);
         let raw = inc.to_raw();
+        let from_raw = |raw: RawFreeze| IncrementalFreezer::from_raw(raw, events);
 
         let mut bad = raw.clone();
         bad.nsp = None;
-        assert!(IncrementalFreezer::from_raw(bad).is_err(), "shape mismatch");
+        assert!(from_raw(bad).is_err(), "shape mismatch");
 
         let mut bad = raw.clone();
         bad.bags.live.pop();
-        assert!(IncrementalFreezer::from_raw(bad).is_err(), "live length");
+        assert!(from_raw(bad).is_err(), "live length");
 
         let mut bad = raw.clone();
         bad.bags.set_of_strand[0] = 10_000;
-        assert!(IncrementalFreezer::from_raw(bad).is_err(), "set bounds");
+        assert!(from_raw(bad).is_err(), "set bounds");
 
         let mut bad = raw.clone();
         if let Some(set) = bad.bags.sets.first_mut() {
             set.merged_pos = 5;
             set.merged_target = 0; // self-merge → cycle
         }
-        assert!(IncrementalFreezer::from_raw(bad).is_err(), "merge cycle");
+        assert!(from_raw(bad).is_err(), "merge cycle");
 
-        let mut bad = raw.clone();
-        bad.accesses.push(GranuleAccess {
-            granule: 1,
-            pos: bad.pos + 7,
-            strand: StrandId(0),
-            is_write: false,
-        });
-        assert!(
-            IncrementalFreezer::from_raw(bad).is_err(),
-            "access beyond frozen position"
-        );
+        for prefix in [&events[..events.len() - 1], &[]] {
+            let err = IncrementalFreezer::from_raw(raw.clone(), prefix).expect_err("short");
+            assert!(err.0.contains("prefix length"), "{err}");
+        }
+
+        // The future (function 1) starts with strand 1 at position 3.
+        assert_eq!(raw.bags.first_strand, [0, 1]);
+        let table_rejects = |first_strand: &[u32]| {
+            let mut bad = raw.clone();
+            bad.bags.first_strand = first_strand.to_vec();
+            let err = from_raw(bad).expect_err("forged first-strand table");
+            assert!(err.0.contains("first-strand table"), "{err}");
+        };
+        table_rejects(&[0, RAW_NONE]);
+        table_rejects(&[0, 2]);
+        table_rejects(&[0]);
+        table_rejects(&[0, 1, RAW_NONE]);
 
         // The closure of R: rows 1 and 2 hold node 0, row 3 holds 0, 1, 2.
         let nsp = raw.nsp.as_ref().expect("MultiBags+");
@@ -1707,7 +1755,7 @@ mod tests {
         let closure_rejects = |why: &str, corrupt: &dyn Fn(&mut RawNsp)| {
             let mut bad = raw.clone();
             corrupt(bad.nsp.as_mut().expect("MultiBags+"));
-            let err = IncrementalFreezer::from_raw(bad).expect_err(why);
+            let err = from_raw(bad).expect_err(why);
             assert!(err.0.contains(why), "expected {why:?}, got {err}");
         };
         closure_rejects("bit past the node count", &|nsp| nsp.closure_rows[3].set(4));
@@ -1727,7 +1775,7 @@ mod tests {
             nsp.first_arc.pop();
         });
 
-        assert!(IncrementalFreezer::from_raw(raw).is_ok(), "control");
+        assert!(from_raw(raw).is_ok(), "control");
     }
 
     #[test]

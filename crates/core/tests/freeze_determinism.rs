@@ -5,15 +5,13 @@
 //! freeze this way, one ingested chunk at a time.
 //!
 //! The comparison is the raw export ([`IncrementalFreezer::to_raw`]), which
-//! carries the closure rows, every bag/DNSP timeline, and the live resume
-//! state (disjoint-set shortcuts, per-function first strands); the raw
-//! forms are `Eq`, so `assert_eq!` is the whole oracle. The closure's
-//! adjacency lists are not exported, but every chunk after the first
-//! consumes them (each new arc walks the accumulated ancestor/descendant
-//! lists), so a corrupted list would mis-stamp a later arc and diverge the
-//! exported rows.
+//! carries the closure rows with their stamps, every bag/DNSP timeline, and
+//! the live resume state (disjoint-set shortcuts, per-function first
+//! strands), next to the granule access stream
+//! ([`IncrementalFreezer::accesses`]), which the raw export leaves out; both
+//! are `Eq`, so `assert_eq!` is the whole oracle.
 
-use futurerd_core::parallel::{IncrementalFreezer, RawFreeze};
+use futurerd_core::parallel::{GranuleAccess, IncrementalFreezer, RawFreeze};
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::trace::TraceEvent;
 use futurerd_runtime::trace::record_spec;
@@ -23,12 +21,16 @@ const SEEDS_PER_SHAPE: u64 = 4;
 const ALGORITHMS: [ReplayAlgorithm; 2] =
     [ReplayAlgorithm::MultiBags, ReplayAlgorithm::MultiBagsPlus];
 
-fn frozen_in_chunks(events: &[TraceEvent], algorithm: ReplayAlgorithm, chunk: usize) -> RawFreeze {
+fn frozen_in_chunks(
+    events: &[TraceEvent],
+    algorithm: ReplayAlgorithm,
+    chunk: usize,
+) -> (RawFreeze, Vec<GranuleAccess>) {
     let mut freezer = IncrementalFreezer::new(algorithm).expect("freezable algorithm");
     for part in events.chunks(chunk) {
         freezer.extend(part);
     }
-    freezer.to_raw()
+    (freezer.to_raw(), freezer.accesses().to_vec())
 }
 
 #[test]

@@ -167,10 +167,9 @@ impl Config {
         }
         let state = store.open_session_state(name, self.algorithm)?;
         let warm = state.freezer.is_some();
-        let mut freezer = match state.freezer {
-            Some(freezer) => freezer,
-            None => IncrementalFreezer::new(self.algorithm).expect("open_session_state checked"),
-        };
+        let mut freezer = (state.freezer)
+            .or_else(|| IncrementalFreezer::new(self.algorithm))
+            .ok_or(futurerd_store::StoreError::Unfreezable(self.algorithm))?;
         let frozen_pos = freezer.position() as usize;
         // Stored outcomes carry no shadow state: they enter as cached
         // partitions, rebuilt once when an append first touches them.

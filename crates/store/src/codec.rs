@@ -1,6 +1,8 @@
 //! The `FRDIDX` sidecar codec: a compact LEB128 binary encoding of a frozen
-//! reachability index, its granule access stream, its freeze resume state,
-//! and (optionally) the cached per-partition detection outcomes.
+//! reachability index, its freeze resume state, and (optionally) the cached
+//! per-partition detection outcomes. The granule access stream is not
+//! stored: the trace the sidecar binds to holds every access, and
+//! `IncrementalFreezer::from_raw` rebuilds the stream from it on load.
 //!
 //! ## Layout
 //!
@@ -17,15 +19,14 @@
 //!                    per row its u64 LE bit words and the position of its
 //!                    first arc, then (row, bit, position) for each bit a row
 //!                    gained after its first arc
-//!   accesses       16-byte granule access records
 //!   outcomes       flag + cached partition results
 //! ```
 //!
 //! Scalars, counts and the small per-set records are LEB128 varints; the
-//! *bulk* arrays — strand/set tables, the closure's bit rows and the granule
-//! access stream — are raw little-endian words, because a warm load must be
-//! strictly cheaper than refreezing and fixed-width rows decode at memcpy
-//! speed where per-element varints do not. The checksum ([`hash64`], an
+//! *bulk* arrays — strand/set tables and the closure's bit rows — are raw
+//! little-endian words, because a warm load must be strictly cheaper than
+//! refreezing and fixed-width rows decode at memcpy speed where per-element
+//! varints do not. The checksum ([`hash64`], an
 //! FNV-style hash folded over 8-byte words, shared with `FRDTRACE` v4 trace
 //! files) is verified **before** the payload is decoded — a truncated or
 //! bit-flipped sidecar is a typed [`StoreError`], never a panic, a hang, or
@@ -36,7 +37,7 @@
 use crate::StoreError;
 use futurerd_core::bitset::DynBitSet;
 use futurerd_core::parallel::{
-    GranuleAccess, PartitionOutcome, RawBagSet, RawBags, RawFreeze, RawNsp, RawNspSet, RAW_NONE,
+    PartitionOutcome, RawBagSet, RawBags, RawFreeze, RawNsp, RawNspSet, RAW_NONE,
 };
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_core::stats::DetectorStats;
@@ -48,10 +49,11 @@ pub const INDEX_MAGIC: [u8; 8] = *b"FRDIDX\0\0";
 /// Current sidecar format version. Version 2 added the per-partition
 /// access-history counters ([`DetectorStats`]) to cached outcomes; version 3
 /// replaced the closure's dense 32-bit position per pair with bit rows and
-/// per-row stamps. Older sidecars are rejected as
-/// [`StoreError::UnsupportedVersion`], which the store treats as a routine
-/// invalidation (refreeze cold, rewrite).
-pub const INDEX_VERSION: u32 = 3;
+/// per-row stamps; version 4 dropped the 16-byte copy of every granule
+/// access, which the load now rebuilds from the trace. Older sidecars are
+/// rejected as [`StoreError::UnsupportedVersion`], which the store treats
+/// as a routine invalidation (refreeze cold, rewrite).
+pub const INDEX_VERSION: u32 = 4;
 
 /// The sidecar checksum, shared with the `FRDTRACE` v4 payload: FNV-style
 /// multiply-xor folded over 8-byte little-endian words (plus a
@@ -66,8 +68,9 @@ pub struct Sidecar {
     /// sidecar to its trace; a mismatch means the trace was rewritten and
     /// the index is stale).
     pub trace_hash: u64,
-    /// The complete freezer state (frozen timelines + resume state +
-    /// access stream).
+    /// The freezer state (frozen timelines + resume state); with the event
+    /// prefix it binds to, it restores the freezer and its access stream
+    /// (`IncrementalFreezer::from_raw`).
     pub freeze: RawFreeze,
     /// Cached per-partition detection outcomes, if detection ran.
     pub outcomes: Option<Vec<PartitionOutcome>>,
@@ -360,41 +363,6 @@ fn get_nsp(r: &mut Reader<'_>) -> Result<RawNsp, StoreError> {
     })
 }
 
-/// The access stream is the hottest bulk section (one record per granule
-/// access of the whole trace): 16-byte fixed-width records — granule with
-/// the write bit folded into its top bit, position, strand — decoded at
-/// memcpy speed. Granules are `addr >> 2`, so bit 63 is always free.
-fn put_accesses(out: &mut Vec<u8>, accesses: &[GranuleAccess]) {
-    put_varint(out, accesses.len() as u64);
-    for a in accesses {
-        debug_assert_eq!(a.granule >> 63, 0, "granules are addr/GRANULARITY");
-        let packed = a.granule | (u64::from(a.is_write) << 63);
-        out.extend_from_slice(&packed.to_le_bytes());
-        out.extend_from_slice(&a.pos.to_le_bytes());
-        out.extend_from_slice(&a.strand.0.to_le_bytes());
-    }
-}
-
-fn get_accesses(r: &mut Reader<'_>) -> Result<Vec<GranuleAccess>, StoreError> {
-    let n = r.count(16)?;
-    let (words, _) = r.raw(n * 16)?.as_chunks::<8>();
-    let (records, _) = words.as_chunks::<2>();
-    Ok(records
-        .iter()
-        .map(|&[packed, pos_strand]| {
-            let packed = u64::from_le_bytes(packed);
-            // The position is the low half of the second word.
-            let pos_strand = u64::from_le_bytes(pos_strand);
-            GranuleAccess {
-                granule: packed & !(1 << 63),
-                pos: pos_strand as u32,
-                strand: StrandId((pos_strand >> 32) as u32),
-                is_write: packed >> 63 == 1,
-            }
-        })
-        .collect())
-}
-
 fn put_outcomes(out: &mut Vec<u8>, outcomes: &[PartitionOutcome]) {
     put_varint(out, outcomes.len() as u64);
     for outcome in outcomes {
@@ -515,7 +483,6 @@ fn encoded_bound(sidecar: &Sidecar) -> usize {
             .sum::<usize>();
         bound += MAX_U64V + 3 * MAX_U32V * nsp.late_bits.len();
     }
-    bound += MAX_U64V + 16 * freeze.accesses.len();
     bound += 1;
     if let Some(outcomes) = &sidecar.outcomes {
         bound += MAX_U64V;
@@ -549,7 +516,6 @@ pub fn encode_sidecar(sidecar: &Sidecar) -> Vec<u8> {
             put_nsp(&mut bytes, nsp);
         }
     }
-    put_accesses(&mut bytes, &sidecar.freeze.accesses);
     match &sidecar.outcomes {
         None => bytes.push(0),
         Some(outcomes) => {
@@ -594,7 +560,6 @@ pub fn decode_sidecar(bytes: &[u8]) -> Result<Sidecar, StoreError> {
             )))
         }
     };
-    let accesses = get_accesses(&mut r)?;
     let outcomes = match r.u8()? {
         0 => None,
         1 => Some(get_outcomes(&mut r)?),
@@ -614,7 +579,6 @@ pub fn decode_sidecar(bytes: &[u8]) -> Result<Sidecar, StoreError> {
             pos,
             bags,
             nsp,
-            accesses,
         },
         outcomes,
     })
@@ -748,7 +712,6 @@ mod tests {
                     put_nsp(&mut payload, nsp);
                 }
             }
-            put_accesses(&mut payload, &sidecar.freeze.accesses);
             match &sidecar.outcomes {
                 None => payload.push(0),
                 Some(outcomes) => {
@@ -782,8 +745,9 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(decode_sidecar(&bad), Err(StoreError::BadMagic)));
 
-        // Version 2 kept a 32-bit position per closure pair.
-        for version in [2, 99] {
+        // Version 2 kept a 32-bit position per closure pair, version 3 a
+        // copy of the access stream.
+        for version in [2, 3, 99] {
             let mut bad = bytes.clone();
             bad[8] = version;
             assert!(matches!(

@@ -9,10 +9,11 @@
 //!   growing event stream, validated as a canonical prefix on every write;
 //! * **`FRDIDX` sidecars** ([`codec`]): the frozen
 //!   [`ReachIndex`](futurerd_core::parallel::ReachIndex) timelines, the
-//!   granule access stream, the freeze *resume state* and the cached
-//!   per-partition detection outcomes serialize to a checksummed LEB128
-//!   sidecar per trace and algorithm. [`Store::open_session_state`] loads
-//!   and binds one, [`Store::persist_session`] writes one back;
+//!   freeze *resume state* and the cached per-partition detection outcomes
+//!   serialize to a checksummed LEB128 sidecar per trace and algorithm.
+//!   [`Store::open_session_state`] loads and binds one, rebuilding the
+//!   granule access stream from the trace prefix it binds to (the sidecar
+//!   does not copy it); [`Store::persist_session`] writes one back;
 //! * **accounting** ([`Store::record_path`], [`StoreStats`]): how the
 //!   requests on this store were served;
 //! * **the batch manifest** ([`BatchManifest`], written to
@@ -617,8 +618,10 @@ impl Store {
     }
 
     /// Loads, verifies and binds the sidecar for `(name, algorithm)` against
-    /// the current trace. Any mismatch (corrupt bytes, wrong algorithm,
-    /// rewritten prefix) invalidates it — the caller then goes cold.
+    /// the current trace, whose frozen prefix restores the access stream.
+    /// Any mismatch (corrupt bytes, wrong algorithm, rewritten prefix, a
+    /// state the prefix contradicts) invalidates it — the caller then goes
+    /// cold.
     fn load_sidecar(
         &mut self,
         name: &str,
@@ -652,7 +655,7 @@ impl Store {
             self.stats.invalidated_sidecars += 1;
             return None;
         }
-        match IncrementalFreezer::from_raw(sidecar.freeze) {
+        match IncrementalFreezer::from_raw(sidecar.freeze, &trace.events()[..pos]) {
             Ok(freezer) => Some((freezer, sidecar.outcomes)),
             Err(_) => {
                 self.stats.invalidated_sidecars += 1;

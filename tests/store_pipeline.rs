@@ -8,6 +8,7 @@ use futurerd::{
     Algorithm, BatchJob, Config, DetectionPath, FunctionId, MemAddr, ShadowArray, ShadowCell,
     Store, StoreError, StrandId, Trace, TraceEvent,
 };
+use futurerd_core::parallel::RAW_NONE;
 use futurerd_core::replay::ReplayAlgorithm;
 use futurerd_dag::events::{ForkInfo, SpawnEvent, SyncEvent};
 use std::time::{Duration, SystemTime};
@@ -440,6 +441,119 @@ fn hostile_closure_sidecars_load_cold() {
     assert_eq!(again.path, Some(DetectionPath::Cold));
     assert_eq!(again.report(), first.report());
     assert_eq!(store.stats().invalidated_sidecars, invalidated + 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn forged_first_strand_sidecars_load_cold() {
+    // A prefix cut after the spawned child's first write, frozen, and its
+    // sidecar re-encoded to say the child never started: the checksum and
+    // the trace hash still hold, but the table contradicts the prefix's
+    // `StrandStart`, so the import rejects it instead of the next ingest
+    // panicking on the child's `Return`.
+    let dir = temp_dir("forged-first-strand");
+    let mut store = Store::open(&dir).expect("store opens");
+    let full: Vec<TraceEvent> = racy_trace()
+        .events()
+        .iter()
+        .copied()
+        .chain(sync_tail())
+        .collect();
+    let mut prefix = Trace::new();
+    prefix.extend_events(&full[..5]);
+    assert!(matches!(full[4], TraceEvent::Write { strand, .. } if strand == StrandId(1)));
+    store.put_trace("t", &prefix).expect("stores");
+    let config = Config::structured();
+    config.replay_stored(&mut store, "t").expect("cold");
+    let path = store.sidecar_path("t", ReplayAlgorithm::MultiBags);
+    let bytes = std::fs::read(&path).expect("the report persisted a sidecar");
+    let mut sidecar = decode_sidecar(&bytes).expect("decodes");
+    let child = FunctionId(1).index();
+    assert_eq!(sidecar.freeze.bags.first_strand[child], 1);
+    sidecar.freeze.bags.first_strand[child] = RAW_NONE;
+    std::fs::write(&path, encode_sidecar(&sidecar)).expect("rewrites");
+    let invalidated = store.stats().invalidated_sidecars;
+
+    let mut session = config.open_session(&mut store, "t").expect("opens");
+    session.ingest(&full[5..]).expect("ingests the rest");
+    let again = session.report().expect("re-detects");
+    drop(session);
+    assert_eq!(again.path, Some(DetectionPath::Cold));
+    let mut whole = Trace::new();
+    whole.extend_events(&full);
+    let one_shot = config.replay(&whole).expect("one-shot replay");
+    assert_eq!(again.report(), one_shot.report());
+    assert_eq!(store.stats().invalidated_sidecars, invalidated + 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sidecars_of_an_older_version_load_cold() {
+    let dir = temp_dir("old-version");
+    let mut store = Store::open(&dir).expect("store opens");
+    store.put_trace("t", &racy_trace()).expect("stores");
+    let config = Config::structured();
+    let first = config.replay_stored(&mut store, "t").expect("cold");
+    let path = store.sidecar_path("t", ReplayAlgorithm::MultiBags);
+    let mut bytes = std::fs::read(&path).expect("sidecar written");
+    // Version 3 still carried a copy of the access stream.
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(
+        decode_sidecar(&bytes),
+        Err(StoreError::UnsupportedVersion(3))
+    ));
+    std::fs::write(&path, &bytes).expect("rewrites");
+
+    let again = config.replay_stored(&mut store, "t").expect("re-detects");
+    assert_eq!(again.path, Some(DetectionPath::Cold));
+    assert_eq!(again.report(), first.report());
+    assert_eq!(store.stats().invalidated_sidecars, 1);
+    let rewritten = std::fs::read(&path).expect("sidecar rewritten");
+    assert!(decode_sidecar(&rewritten).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sidecar_size_does_not_grow_with_the_access_count() {
+    // The trace holds every access, so the sidecar stores none: 10,000
+    // more writes by the executing strand move a few counters, not the
+    // 16 bytes per granule access a copied stream would add.
+    let dir = temp_dir("sidecar-size");
+    let mut store = Store::open(&dir).expect("store opens");
+    store.put_trace("t", &racy_trace()).expect("stores");
+    let sidecar_len = |store: &Store| {
+        let path = store.sidecar_path("t", ReplayAlgorithm::MultiBags);
+        std::fs::metadata(path).expect("sidecar written").len()
+    };
+    let mut session = Config::structured()
+        .open_session(&mut store, "t")
+        .expect("opens");
+    session.report().expect("cold");
+    drop(session);
+    let before = sidecar_len(&store);
+
+    let writes: Vec<TraceEvent> = (0..10_000u64)
+        .map(|i| TraceEvent::Write {
+            strand: StrandId(2),
+            addr: MemAddr(0x2000 + 4 * i),
+            size: 4,
+        })
+        .collect();
+    let mut session = Config::structured()
+        .open_session(&mut store, "t")
+        .expect("reopens");
+    session.ingest(&writes).expect("ingests");
+    let appended = session.report().expect("reports");
+    drop(session);
+    assert!(matches!(
+        appended.path,
+        Some(DetectionPath::Incremental { .. })
+    ));
+    let after = sidecar_len(&store);
+    assert!(
+        after < before + 64,
+        "sidecar grew from {before} to {after} bytes"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
