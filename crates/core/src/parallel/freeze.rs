@@ -1257,7 +1257,6 @@ impl IncrementalFreezer {
                         return err(unfrozen);
                     }
                 }
-                let mut late = BTreeMap::new();
                 for &(b, bit, p) in &rnsp.late_bits {
                     if p >= raw.pos {
                         return err(unfrozen);
@@ -1268,8 +1267,13 @@ impl IncrementalFreezer {
                     {
                         return err("late closure stamp for a bit its row lacks");
                     }
-                    late.insert((b, bit), p);
                 }
+                // `to_raw` exports the stamps in key order, so `collect`
+                // builds the map in one linear pass; inserting them one by
+                // one cost several times the rest of this section.
+                let late: BTreeMap<_, _> = (rnsp.late_bits.iter())
+                    .map(|&(b, bit, p)| ((b, bit), p))
+                    .collect();
                 let r = StampedR {
                     graph: RGraph::from_rows(rnsp.closure_rows),
                     first: rnsp.first_arc,
