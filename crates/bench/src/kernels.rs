@@ -564,10 +564,9 @@ struct Stored {
 /// Detection-store economics on the big traces: `freeze` (cold pass 1),
 /// `warm_load` (decode the sidecar, rebuild the freezer and its access
 /// stream from the trace, snapshot the index; must stay cheaper than
-/// `freeze`), `warm_detect` (a warm
-/// `Config::replay_stored` round trip) and `incremental` (a stored replay
-/// after ~5% of the trace was appended: suffix refreeze, touched-partition
-/// re-runs and the sidecar rewrite).
+/// `freeze`), `warm_detect` (a warm `Config::replay_stored` round trip) and
+/// `incremental` (a stored replay after ~5% of the trace was appended:
+/// suffix refreeze, touched-partition re-runs and the sidecar rewrite).
 fn fig_store(cells: &mut Cells) {
     for (algorithm, general, seed) in BIG_CELLS {
         let cell = Cell::new(

@@ -703,14 +703,17 @@ impl Freezer {
     /// resumes from.
     fn push_access(&mut self, strand: StrandId, addr: MemAddr, size: usize, is_write: bool) {
         let pos = self.pos;
-        for granule in addr.granules(size) {
-            self.accesses.push(GranuleAccess {
+        let accesses = &mut self.accesses;
+        // `for_each` steps the inclusive granule range in its internal
+        // fold, without the exhaustion check a `for` loop pays per item.
+        addr.granules(size).for_each(|granule| {
+            accesses.push(GranuleAccess {
                 granule,
                 pos,
                 strand,
                 is_write,
-            });
-        }
+            })
+        });
     }
 }
 
@@ -1301,11 +1304,13 @@ impl IncrementalFreezer {
         let mut first_strand: Vec<Option<StrandId>> = Vec::new();
         for event in prefix {
             match *event {
-                TraceEvent::Read { strand, addr, size } => {
-                    freezer.push_access(strand, addr, size as usize, false)
-                }
-                TraceEvent::Write { strand, addr, size } => {
-                    freezer.push_access(strand, addr, size as usize, true)
+                // One arm for both kinds: reads and writes interleave at
+                // random in general traces, and a branch between them
+                // mispredicts about every other access.
+                TraceEvent::Read { strand, addr, size }
+                | TraceEvent::Write { strand, addr, size } => {
+                    let is_write = matches!(event, TraceEvent::Write { .. });
+                    freezer.push_access(strand, addr, size as usize, is_write)
                 }
                 TraceEvent::StrandStart { strand, function } => {
                     let f = function.index();

@@ -167,7 +167,8 @@ impl Config {
         }
         let state = store.open_session_state(name, self.algorithm)?;
         let warm = state.freezer.is_some();
-        let mut freezer = (state.freezer)
+        let mut freezer = state
+            .freezer
             .or_else(|| IncrementalFreezer::new(self.algorithm))
             .ok_or(futurerd_store::StoreError::Unfreezable(self.algorithm))?;
         let frozen_pos = freezer.position() as usize;
