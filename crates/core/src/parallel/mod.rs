@@ -320,11 +320,12 @@ pub fn par_replay_with(
 
 /// Pass 2 alone: sharded detection over an already-frozen index and its
 /// granule access stream — the warm path of a persistent detection store,
-/// which loads both from an `FRDIDX` sidecar instead of refreezing. Returns
-/// the per-partition outcomes, the form a store persists so that
-/// incremental re-detection can reuse outcomes for untouched granule
-/// ranges; [`merge_outcomes_stats`] turns them into a report byte-identical to
-/// sequential replay at every thread count.
+/// which loads the index from an `FRDIDX` sidecar and rebuilds the stream
+/// from the trace instead of refreezing. Returns the per-partition
+/// outcomes, the form a store persists so that incremental re-detection can
+/// reuse outcomes for untouched granule ranges; [`merge_outcomes_stats`]
+/// turns them into a report byte-identical to sequential replay at every
+/// thread count.
 ///
 /// One outcome per [`partition_ranges`] range, each equal to
 /// [`run_partition`] on that range: every task reads the shared stream in
